@@ -281,6 +281,7 @@ func benchBoth(b *testing.B, s *triplestore.Store, q trial.Expr, ev *trial.Evalu
 		b.Fatalf("engine result (%d triples) differs from evaluator (%d)", got.Len(), want.Len())
 	}
 	b.Run("evaluator", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r, err := ev.Eval(q)
 			if err != nil {
@@ -290,6 +291,7 @@ func benchBoth(b *testing.B, s *triplestore.Store, q trial.Expr, ev *trial.Evalu
 		}
 	})
 	b.Run("engine", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r, err := eng.Eval(q)
 			if err != nil {

@@ -38,6 +38,13 @@
 // distribute over any disjoint partition of a relation. Results are
 // byte-identical to the flat engine (pinned by internal/proptest).
 //
+// What operators hand each other is a sorted run: an operator appends
+// the triples it derives to a slice, sorts it once, drops adjacent
+// duplicates and hands the slice over as a run-backed
+// triplestore.Relation (execCtx.finish) — no triple is hashed into a
+// set. Filters, unions and differences keep their inputs' order and
+// sort nothing; see the planNode godoc for the contract per operator.
+//
 // Prepare returns a reusable compiled plan carrying the optimizer's
 // rewrite trace; Explain renders the trace and the chosen physical plan
 // (including the sharded access paths).

@@ -19,11 +19,13 @@ func (n *filterNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.collect(in.Slice(), func(t triplestore.Triple, emit func(triplestore.Triple)) {
+	// A subset of the input's sorted view, emitted in order, is already
+	// the result run: nothing to sort, nothing to dedupe.
+	return ctx.finish(parallelCollect(ctx.e, ctx.ctx, in.Triples(), func(t triplestore.Triple, emit func(triplestore.Triple)) {
 		if n.cc.Holds(t, t) {
 			emit(t)
 		}
-	})
+	}), true)
 }
 
 func (n *unionNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
@@ -55,9 +57,14 @@ func (n *projectNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.collect(in.Slice(), func(t triplestore.Triple, emit func(triplestore.Triple)) {
-		emit(triplestore.Triple{t[n.out[0]], t[n.out[1]], t[n.out[2]]})
-	})
+	// One output triple per input triple: an exactly sized buffer filled
+	// at memory speed, not worth the pool.
+	ts := in.Slice()
+	buf := make([]triplestore.Triple, len(ts))
+	for i, t := range ts {
+		buf[i] = triplestore.Triple{t[n.out[0]], t[n.out[1]], t[n.out[2]]}
+	}
+	return ctx.finish(buf, false)
 }
 
 func (n *sharedNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
@@ -87,16 +94,43 @@ func filterSlice(ts []triplestore.Triple, cc trial.CompiledCond) []triplestore.T
 	return out
 }
 
-// filterRelation keeps the triples of r satisfying a compiled
-// single-triple condition.
-func filterRelation(r *triplestore.Relation, cc trial.CompiledCond) *triplestore.Relation {
-	out := triplestore.NewRelationCap(r.Len())
-	r.ForEach(func(t triplestore.Triple) {
-		if cc.Holds(t, t) {
-			out.Add(t)
-		}
-	})
-	return out
+// idHashTable is the hash join's build side when every cross-side
+// equality of the condition compares objects: the key is the tuple of
+// the (at most three) probed components, a fixed-size array the map
+// hashes without allocating — no key string per triple. Build triples
+// sharing a key chain through next, so the table is one map and one
+// slice however many keys there are. Equalities past the third do not
+// key; like every other atom they are re-checked per candidate pair.
+type idHashTable struct {
+	keys [][2]trial.Pos
+	head map[[3]triplestore.ID]int32 // key → 1 + index of the last build triple carrying it
+	next []int32                     // build index → 1 + index of the previous triple with its key; 0 ends the chain
+}
+
+func buildIDHashTable(build []triplestore.Triple, keys [][2]trial.Pos) *idHashTable {
+	if len(keys) > 3 {
+		keys = keys[:3]
+	}
+	t := &idHashTable{
+		keys: keys,
+		head: make(map[[3]triplestore.ID]int32, len(build)),
+		next: make([]int32, len(build)),
+	}
+	for i, bt := range build {
+		k := t.key(bt, 1)
+		t.next[i] = t.head[k]
+		t.head[k] = int32(i + 1)
+	}
+	return t
+}
+
+// key is the join key of a triple of the given side: 0 for the probe
+// (left) operand, 1 for the build (right) operand.
+func (t *idHashTable) key(tr triplestore.Triple, side int) (k [3]triplestore.ID) {
+	for i, p := range t.keys {
+		k[i] = tr[p[side].Index()]
+	}
+	return k
 }
 
 func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
@@ -125,7 +159,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	case joinIndexRight:
 		probe := n.objKeys[0]
 		if n.shardRels != nil {
-			return ctx.e.shardedIndexJoin(ctx.ctx, ctx.trace, n.shardRels, probeLeft(),
+			return ctx.shardedIndexJoin(n.shardRels, probeLeft(),
 				probe[0].Index(), probe[1].Index(), false, n.cc, n.out)
 		}
 		// Build the access path before fanning out: Index mutates the
@@ -146,7 +180,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 			rts = filterSlice(rts, n.rCC)
 		}
 		if n.shardRels != nil {
-			return ctx.e.shardedIndexJoin(ctx.ctx, ctx.trace, n.shardRels, rts,
+			return ctx.shardedIndexJoin(n.shardRels, rts,
 				probe[1].Index(), probe[0].Index(), true, n.cc, n.out)
 		}
 		ix := l.Index(triplestore.PermFor(probe[0].Index()))
@@ -168,7 +202,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 		rIx := r.Index(triplestore.PermFor(probe[1].Index()))
 		common := intersectSortedIDs(lIx.Leads(), rIx.Leads())
 		ctx.trace.SetAttr("merge_keys", len(common))
-		res := ctx.e.parallelIDCollect(ctx.ctx, common, func(id triplestore.ID, emit func(triplestore.Triple)) {
+		return ctx.finish(parallelCollect(ctx.e, ctx.ctx, common, func(id triplestore.ID, emit func(triplestore.Triple)) {
 			rts := rIx.Match(id)
 			if n.hasRCond {
 				rts = filterSlice(rts, n.rCC)
@@ -186,21 +220,30 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 					}
 				}
 			}
-		})
-		if err := ctx.ctx.Err(); err != nil {
-			return nil, err
-		}
-		return res, nil
+		}), false)
 	case joinHash:
+		rts := r.Slice()
+		if n.hasRCond {
+			rts = filterSlice(rts, n.rCC)
+		}
+		if len(n.objKeys) > 0 && len(n.cond.CrossValEqualities()) == 0 {
+			table := buildIDHashTable(rts, n.objKeys)
+			return ctx.collect(probeLeft(), func(lt triplestore.Triple, emit func(triplestore.Triple)) {
+				for i := table.head[table.key(lt, 0)]; i != 0; i = table.next[i-1] {
+					if rt := rts[i-1]; n.cc.Holds(lt, rt) {
+						emit(trial.Project(n.out, lt, rt))
+					}
+				}
+			})
+		}
+		// η (data-value) equalities key on the values' canonical strings,
+		// exactly as the Evaluator's hash join does.
 		lKey, rKey := trial.CrossEqualityKeyFuncs(ctx.e.store, n.cond)
-		table := make(map[string][]triplestore.Triple, r.Len())
-		r.ForEach(func(rt triplestore.Triple) {
-			if n.hasRCond && !n.rCC.Holds(rt, rt) {
-				return
-			}
+		table := make(map[string][]triplestore.Triple, len(rts))
+		for _, rt := range rts {
 			k := rKey(rt)
 			table[k] = append(table[k], rt)
-		})
+		}
 		return ctx.collect(probeLeft(), func(lt triplestore.Triple, emit func(triplestore.Triple)) {
 			for _, rt := range table[lKey(lt)] {
 				if n.cc.Holds(lt, rt) {
@@ -248,6 +291,9 @@ func (n *starNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 		if n.hasSeed {
 			seed = func(t triplestore.Triple) bool { return n.seedCC.Holds(t, t) }
 		}
+		// The BFS kernel is the Evaluator's and accumulates into a set:
+		// the one operator result that is not a run. Its sorted view is
+		// built when a consumer first asks for it.
 		return trial.ReachClosureCtx(ctx.ctx, base, n.reach, seed)
 	}
 	// The join side of the iteration may be prefiltered by side-only
@@ -256,38 +302,78 @@ func (n *starNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	// still checked for every candidate pair.
 	joinBase := base
 	if n.hasBaseCond {
-		joinBase = filterRelation(base, n.baseCC)
+		joinBase = triplestore.RelationFromRun(filterSlice(base.Triples(), n.baseCC))
 	}
-	seeds := base
+	seeds := base.Triples()
 	if n.hasSeed {
-		seeds = filterRelation(base, n.seedCC)
+		seeds = filterSlice(seeds, n.seedCC)
 	}
 	if n.shardedN > 0 {
 		return n.execShardedStar(ctx, joinBase, seeds)
 	}
 	step := n.stepFunc(ctx, joinBase)
-	result := seeds.Clone()
-	delta := seeds
-	rec := newRoundRecorder(ctx.trace, seeds.Len())
-	for delta.Len() > 0 {
+	fp := newFixpoint(ctx.trace, seeds)
+	for delta := seeds; len(delta) > 0; {
 		if err := ctx.ctx.Err(); err != nil {
 			return nil, err
 		}
-		rec.round(delta.Len())
-		derived := step(delta)
-		next := triplestore.NewRelation()
-		derived.ForEach(func(t triplestore.Triple) {
-			if result.Add(t) {
-				next.Add(t)
-			}
-		})
-		delta = next
+		delta = fp.absorb(len(delta), step(delta))
 	}
+	return fp.done(ctx)
+}
+
+// fixpoint accumulates a semi-naive star's result. Rounds exchange
+// slices — the delta handed to a round and the emit buffer it returns —
+// but deciding which derived triples are new probes a result that grows
+// every round, which no single sort amortizes: seen is the one
+// membership set left in the engine. all lists seen's triples in
+// derivation order; each round's delta is its newest suffix, and the
+// operator's result is all, sorted once at the end (duplicate-free
+// already).
+type fixpoint struct {
+	seen    map[triplestore.Triple]struct{}
+	all     []triplestore.Triple
+	emitted int // every round's emit buffer, duplicates included
+	rec     *roundRecorder
+}
+
+func newFixpoint(sp *obs.Span, seeds []triplestore.Triple) *fixpoint {
+	fp := &fixpoint{
+		seen: make(map[triplestore.Triple]struct{}, len(seeds)),
+		all:  append([]triplestore.Triple(nil), seeds...),
+		rec:  newRoundRecorder(sp, len(seeds)),
+	}
+	for _, t := range seeds {
+		fp.seen[t] = struct{}{}
+	}
+	return fp
+}
+
+// absorb folds one round's emit buffer, derived from a delta of deltaLen
+// triples, into the result and returns the triples seen for the first
+// time: the next delta.
+func (fp *fixpoint) absorb(deltaLen int, derived []triplestore.Triple) []triplestore.Triple {
+	fp.rec.round(deltaLen)
+	fp.emitted += len(derived)
+	start := len(fp.all)
+	for _, t := range derived {
+		if _, ok := fp.seen[t]; !ok {
+			fp.seen[t] = struct{}{}
+			fp.all = append(fp.all, t)
+		}
+	}
+	return fp.all[start:]
+}
+
+// done finishes the fixpoint into the star's result, unless the context
+// was cancelled during the last round and left it partial.
+func (fp *fixpoint) done(ctx *execCtx) (*triplestore.Relation, error) {
 	if err := ctx.ctx.Err(); err != nil {
 		return nil, err
 	}
-	rec.done()
-	return result, nil
+	fp.rec.done()
+	ctx.trace.SetAttr("emitted", fp.emitted)
+	return triplestore.RelationFromRun(triplestore.SortDedupe(fp.all)), nil
 }
 
 // maxTracedDeltas bounds how many per-round delta sizes a star span
@@ -333,54 +419,36 @@ func (r *roundRecorder) done() {
 	r.sp.SetAttr("deltas", r.deltas)
 }
 
-// stepFunc returns the per-round join of the semi-naive iteration. For the
-// right closure (e ✶)* the round computes delta ✶ base; for the left
-// closure, base ✶ delta. When the condition has a cross-side object
-// equality the base side is served by a permutation index; otherwise the
-// round degrades to a (parallel) scan of base per delta triple. A round
-// interrupted by cancellation may return a partial derivation; the star
-// loop checks the context before trusting any round's output.
-func (n *starNode) stepFunc(ctx *execCtx, base *triplestore.Relation) func(*triplestore.Relation) *triplestore.Relation {
+// stepFunc returns the per-round join of the semi-naive iteration: delta
+// in, emit buffer out. For the right closure (e ✶)* the round computes
+// delta ✶ base; for the left closure, base ✶ delta. When the condition
+// has a cross-side object equality the base side is served by a
+// permutation index; otherwise the round degrades to a (parallel) scan of
+// base per delta triple. A round interrupted by cancellation returns a
+// partial buffer; the star loop checks the context before trusting any
+// round's output.
+func (n *starNode) stepFunc(ctx *execCtx, base *triplestore.Relation) func([]triplestore.Triple) []triplestore.Triple {
+	// candidates lists the base triples a delta triple may pair with.
+	var candidates func(triplestore.Triple) []triplestore.Triple
 	if len(n.objKeys) > 0 {
 		probe := n.objKeys[0]
-		if !n.left {
-			ix := base.Index(triplestore.PermFor(probe[1].Index()))
-			return func(delta *triplestore.Relation) *triplestore.Relation {
-				return ctx.e.parallelCollect(ctx.ctx, delta.Slice(), func(lt triplestore.Triple, emit func(triplestore.Triple)) {
-					for _, rt := range ix.Match(lt[probe[0].Index()]) {
-						if n.cc.Holds(lt, rt) {
-							emit(trial.Project(n.out, lt, rt))
-						}
-					}
-				})
-			}
+		basePos, deltaPos := probe[1].Index(), probe[0].Index()
+		if n.left {
+			basePos, deltaPos = deltaPos, basePos
 		}
-		ix := base.Index(triplestore.PermFor(probe[0].Index()))
-		return func(delta *triplestore.Relation) *triplestore.Relation {
-			return ctx.e.parallelCollect(ctx.ctx, delta.Slice(), func(rt triplestore.Triple, emit func(triplestore.Triple)) {
-				for _, lt := range ix.Match(rt[probe[1].Index()]) {
-					if n.cc.Holds(lt, rt) {
-						emit(trial.Project(n.out, lt, rt))
-					}
-				}
-			})
-		}
+		ix := base.Index(triplestore.PermFor(basePos))
+		candidates = func(dt triplestore.Triple) []triplestore.Triple { return ix.Match(dt[deltaPos]) }
+	} else {
+		baseTs := base.Slice()
+		candidates = func(triplestore.Triple) []triplestore.Triple { return baseTs }
 	}
-	baseTs := base.Slice()
-	if !n.left {
-		return func(delta *triplestore.Relation) *triplestore.Relation {
-			return ctx.e.parallelCollect(ctx.ctx, delta.Slice(), func(lt triplestore.Triple, emit func(triplestore.Triple)) {
-				for _, rt := range baseTs {
-					if n.cc.Holds(lt, rt) {
-						emit(trial.Project(n.out, lt, rt))
-					}
+	return func(delta []triplestore.Triple) []triplestore.Triple {
+		return parallelCollect(ctx.e, ctx.ctx, delta, func(dt triplestore.Triple, emit func(triplestore.Triple)) {
+			for _, bt := range candidates(dt) {
+				lt, rt := dt, bt
+				if n.left {
+					lt, rt = bt, dt
 				}
-			})
-		}
-	}
-	return func(delta *triplestore.Relation) *triplestore.Relation {
-		return ctx.e.parallelCollect(ctx.ctx, delta.Slice(), func(rt triplestore.Triple, emit func(triplestore.Triple)) {
-			for _, lt := range baseTs {
 				if n.cc.Holds(lt, rt) {
 					emit(trial.Project(n.out, lt, rt))
 				}

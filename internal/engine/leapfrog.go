@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/optimizer"
 	"repro/internal/trial"
@@ -232,12 +230,9 @@ func (n *leapfrogNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	if len(n.vars) == 0 {
 		// No shared variables at all (possible only under forced policy):
 		// a plain nested-loop enumeration with residual checks.
-		out := triplestore.NewRelation()
-		n.enumerate(base, func(t triplestore.Triple) { out.Add(t) })
-		if err := ctx.ctx.Err(); err != nil {
-			return nil, err
-		}
-		return out, nil
+		var buf []triplestore.Triple
+		n.enumerate(base, func(t triplestore.Triple) { buf = append(buf, t) })
+		return ctx.finish(buf, false)
 	}
 	// Materialize the first variable's intersection, then fan the
 	// remaining descent out across the worker pool: each top-level value
@@ -250,15 +245,11 @@ func (n *leapfrogNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	var top []triplestore.ID
 	leapfrogIntersect(its, func(v triplestore.ID) bool { top = append(top, v); return true })
 	ctx.trace.SetAttr("top_vals", len(top))
-	res := ctx.e.parallelIDCollect(ctx.ctx, top, func(v triplestore.ID, emit func(triplestore.Triple)) {
+	return ctx.finish(parallelCollect(ctx.e, ctx.ctx, top, func(v triplestore.ID, emit func(triplestore.Triple)) {
 		if cands, ok := n.narrow(base, cls, v); ok {
 			n.solve(1, cands, emit)
 		}
-	})
-	if err := ctx.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	}), false)
 }
 
 // solve binds variable vi across its atoms by leapfrog intersection and
@@ -327,7 +318,9 @@ func (n *leapfrogNode) narrow(cands [][]triplestore.Triple, cls []optimizer.Slot
 			rest = slots[1:]
 		}
 		if len(rest) > 0 {
-			filtered := make([]triplestore.Triple, 0, len(list))
+			// Not presized: a hub's candidate list is long and what survives
+			// a second bound component is short.
+			var filtered []triplestore.Triple
 			for _, t := range list {
 				keep := true
 				for _, s := range rest {
@@ -422,76 +415,6 @@ func intersectSortedIDs(a, b []triplestore.ID) []triplestore.ID {
 			out = append(out, a[i])
 			i++
 			j++
-		}
-	}
-	return out
-}
-
-// parallelIDCollect is parallelCollect over an ID work list: f runs once
-// per ID, emitting triples into per-worker relations merged at the end.
-// Same pooling, chunking and cancellation-polling contract as
-// parallelCollect (see pool.go); the leapfrog triejoin fans out over the
-// first variable's values and the merge join over the common index leads.
-func (e *Engine) parallelIDCollect(ctx context.Context, ids []triplestore.ID, f func(id triplestore.ID, emit func(triplestore.Triple))) *triplestore.Relation {
-	if e.workers <= 1 || len(ids) < seqThreshold {
-		out := triplestore.NewRelation()
-		emit := func(t triplestore.Triple) { out.Add(t) }
-		for i, id := range ids {
-			if i&(cancelStride-1) == cancelStride-1 && ctx.Err() != nil {
-				break
-			}
-			f(id, emit)
-		}
-		return out
-	}
-	nChunks := e.workers * 4
-	if nChunks > len(ids) {
-		nChunks = len(ids)
-	}
-	locals := make([]*triplestore.Relation, nChunks)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.workers)
-	chunkSize := (len(ids) + nChunks - 1) / nChunks
-	for i := 0; i < nChunks; i++ {
-		lo := i * chunkSize
-		hi := lo + chunkSize
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(i int, part []triplestore.ID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			local := triplestore.NewRelation()
-			emit := func(t triplestore.Triple) { local.Add(t) }
-			for j, id := range part {
-				if j&(cancelStride-1) == cancelStride-1 && ctx.Err() != nil {
-					break
-				}
-				f(id, emit)
-			}
-			locals[i] = local
-		}(i, ids[lo:hi])
-	}
-	wg.Wait()
-
-	total := 0
-	for _, l := range locals {
-		if l != nil {
-			total += l.Len()
-		}
-	}
-	out := triplestore.NewRelationCap(total)
-	for _, l := range locals {
-		if l != nil {
-			out.AddAll(l)
 		}
 	}
 	return out

@@ -15,6 +15,18 @@ import (
 // relation; est is the planner's (rough) output-cardinality estimate used
 // to rank join strategies; label names the operator kind for execution
 // traces; explain renders the subtree.
+//
+// Operator-result contract: every operator that computes its result
+// returns a run-backed relation — a strictly sorted, duplicate-free
+// []Triple adopted by triplestore.RelationFromRun (see execCtx.finish).
+// Joins, projections and stars emit in no useful order and pay one sort
+// plus an adjacent-compare dedupe; a filter emits a subset of its
+// input's sorted view in order and pays neither; union and difference
+// are linear merges. Two kinds of operator compute nothing of their
+// own and pass on what they are given: scan and universe hand out the
+// store's relation, whatever its representation, and a BFS reach star
+// hands out the set the Evaluator's closure kernel accumulated — both
+// sort lazily, on the first consumer that asks for Triples.
 type planNode interface {
 	exec(ctx *execCtx) (*triplestore.Relation, error)
 	est() float64
@@ -41,15 +53,33 @@ type execCtx struct {
 	trace  *obs.Span
 }
 
-// collect is parallelCollect under this execution's context: a
-// cancellation that tripped mid-operator surfaces as the context's error
-// rather than as a silently partial relation.
+// collect is parallelCollect under this execution's context, finished
+// into the operator's result (see finish).
 func (ctx *execCtx) collect(ts []triplestore.Triple, f func(t triplestore.Triple, emit func(triplestore.Triple))) (*triplestore.Relation, error) {
-	r := ctx.e.parallelCollect(ctx.ctx, ts, f)
+	return ctx.finish(parallelCollect(ctx.e, ctx.ctx, ts, f), false)
+}
+
+// finish turns an operator's emit buffer into its result: one sort, one
+// adjacent-compare dedupe, and the slice is adopted as a run-backed
+// relation — no triple is hashed. sortedIn says the buffer is already
+// strictly sorted because the operator emitted a subset of a sorted
+// input in input order; the sort is then skipped. A cancellation that
+// tripped mid-operator surfaces as the context's error and the partial
+// buffer is dropped unsorted. On a traced run the span records the
+// buffer's length as "emitted" — against "out" that is the operator's
+// duplicate ratio, the number that says whether hashing could ever beat
+// the sort — and "sorted_in" when the sort was skipped.
+func (ctx *execCtx) finish(buf []triplestore.Triple, sortedIn bool) (*triplestore.Relation, error) {
 	if err := ctx.ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r, nil
+	ctx.trace.SetAttr("emitted", len(buf))
+	if sortedIn {
+		ctx.trace.SetAttr("sorted_in", true)
+	} else {
+		buf = triplestore.SortDedupe(buf)
+	}
+	return triplestore.RelationFromRun(buf), nil
 }
 
 // run executes one node, wrapped in a trace span when tracing is on.

@@ -29,11 +29,12 @@ import (
 //     round's delta to shards — every round is a partition-probe join
 //     run per-shard on the worker pool.
 //
-// Each task accumulates into a private relation and the merge
-// deduplicates through set inserts, exactly like parallelCollect, so the
-// result is byte-identical to the flat engine's (internal/proptest pins
-// this). With a single worker the tasks run sequentially on the calling
-// goroutine: same results, no goroutine overhead.
+// Each task appends to a private emit buffer and the concatenated
+// buffers are sorted and deduplicated once, exactly like parallelCollect
+// (execCtx.finish), so the result is byte-identical to the flat
+// engine's (internal/proptest pins this). With a single worker the tasks
+// run sequentially on the calling goroutine: same results, no goroutine
+// overhead.
 
 // forEachShard runs task(i) for every shard, in parallel across the
 // engine's worker pool when it has more than one worker. The shard-task
@@ -68,24 +69,12 @@ func (e *Engine) forEachShard(ctx context.Context, n int, task func(shard int)) 
 	wg.Wait()
 }
 
-// collectShards runs task per shard and merges the per-shard result
-// relations (nil results are skipped) into one.
-func (e *Engine) collectShards(ctx context.Context, n int, task func(shard int) *triplestore.Relation) *triplestore.Relation {
-	locals := make([]*triplestore.Relation, n)
+// collectShards runs task per shard and concatenates the per-shard emit
+// buffers.
+func (e *Engine) collectShards(ctx context.Context, n int, task func(shard int) []triplestore.Triple) []triplestore.Triple {
+	locals := make([][]triplestore.Triple, n)
 	e.forEachShard(ctx, n, func(i int) { locals[i] = task(i) })
-	total := 0
-	for _, l := range locals {
-		if l != nil {
-			total += l.Len()
-		}
-	}
-	out := triplestore.NewRelationCap(total)
-	for _, l := range locals {
-		if l != nil {
-			out.AddAll(l)
-		}
-	}
-	return out
+	return concat(locals)
 }
 
 // bucketByPos splits ts into one bucket per shard, keyed by the hash of
@@ -102,25 +91,19 @@ func bucketByPos(ss *triplestore.ShardedStore, ts []triplestore.Triple, pos int)
 // probeIndex joins probe triples against one shard's index: for every
 // probe triple, the index matches on its probePos component, the full
 // condition is re-checked per candidate pair, and survivors project into
-// the local result. indexedLeft reports that the indexed side is the
-// join's LEFT operand (the probe triples are right operands).
+// the task's emit buffer. indexedLeft reports that the indexed side is
+// the join's LEFT operand (the probe triples are right operands).
 func probeIndex(probe []triplestore.Triple, ix *triplestore.Index, probePos int, indexedLeft bool,
-	cc trial.CompiledCond, out [3]trial.Pos) *triplestore.Relation {
-	local := triplestore.NewRelation()
-	if indexedLeft {
-		for _, rt := range probe {
-			for _, lt := range ix.Match(rt[probePos]) {
-				if cc.Holds(lt, rt) {
-					local.Add(trial.Project(out, lt, rt))
-				}
+	cc trial.CompiledCond, out [3]trial.Pos) []triplestore.Triple {
+	var local []triplestore.Triple
+	for _, pt := range probe {
+		for _, it := range ix.Match(pt[probePos]) {
+			lt, rt := pt, it
+			if indexedLeft {
+				lt, rt = it, pt
 			}
-		}
-		return local
-	}
-	for _, lt := range probe {
-		for _, rt := range ix.Match(lt[probePos]) {
 			if cc.Holds(lt, rt) {
-				local.Add(trial.Project(out, lt, rt))
+				local = append(local, trial.Project(out, lt, rt))
 			}
 		}
 	}
@@ -145,11 +128,11 @@ func newShardTimer(sp *obs.Span, n int) *shardTimer {
 }
 
 // timed wraps task so shard i's cumulative wall time lands in durs[i].
-func (t *shardTimer) timed(task func(int) *triplestore.Relation) func(int) *triplestore.Relation {
+func (t *shardTimer) timed(task func(int) []triplestore.Triple) func(int) []triplestore.Triple {
 	if t.sp == nil {
 		return task
 	}
-	return func(i int) *triplestore.Relation {
+	return func(i int) []triplestore.Triple {
 		start := time.Now()
 		r := task(i)
 		t.durs[i] += time.Since(start)
@@ -185,38 +168,30 @@ func (t *shardTimer) attach() {
 // relation: partition-probe when the indexed position is the shard key
 // (subject), broadcast-probe otherwise. parts are the store's shard
 // partitions of the indexed side; probePos/basePos index the key
-// component on the probe and indexed triples. When sp is non-nil the
-// join records its mode and per-shard task timings on it. A context
-// cancelled mid-join skips the remaining shard tasks and returns the
-// context's error instead of a partial merge.
-func (e *Engine) shardedIndexJoin(ctx context.Context, sp *obs.Span, parts []*triplestore.Relation, probe []triplestore.Triple,
+// component on the probe and indexed triples. On a traced run the join
+// records its mode and per-shard task timings. A context cancelled
+// mid-join skips the remaining shard tasks and returns the context's
+// error instead of a partial result.
+func (ctx *execCtx) shardedIndexJoin(parts []*triplestore.Relation, probe []triplestore.Triple,
 	probePos, basePos int, indexedLeft bool, cc trial.CompiledCond, out [3]trial.Pos) (*triplestore.Relation, error) {
+	e := ctx.e
 	perm := triplestore.PermFor(basePos)
-	timer := newShardTimer(sp, len(parts))
+	timer := newShardTimer(ctx.trace, len(parts))
 	defer timer.attach()
-	var r *triplestore.Relation
+	mode := "broadcast-probe"
+	probeFor := func(int) []triplestore.Triple { return probe }
 	if basePos == 0 {
-		sp.SetAttr("shard_mode", "partition-probe")
+		mode = "partition-probe"
 		buckets := bucketByPos(e.sharded, probe, probePos)
-		r = e.collectShards(ctx, len(parts), timer.timed(func(i int) *triplestore.Relation {
-			if len(buckets[i]) == 0 || parts[i].Len() == 0 {
-				return nil
-			}
-			return probeIndex(buckets[i], parts[i].Index(perm), probePos, indexedLeft, cc, out)
-		}))
-	} else {
-		sp.SetAttr("shard_mode", "broadcast-probe")
-		r = e.collectShards(ctx, len(parts), timer.timed(func(i int) *triplestore.Relation {
-			if parts[i].Len() == 0 {
-				return nil
-			}
-			return probeIndex(probe, parts[i].Index(perm), probePos, indexedLeft, cc, out)
-		}))
+		probeFor = func(i int) []triplestore.Triple { return buckets[i] }
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	ctx.trace.SetAttr("shard_mode", mode)
+	return ctx.finish(e.collectShards(ctx.ctx, len(parts), timer.timed(func(i int) []triplestore.Triple {
+		if len(probeFor(i)) == 0 || parts[i].Len() == 0 {
+			return nil
+		}
+		return probeIndex(probeFor(i), parts[i].Index(perm), probePos, indexedLeft, cc, out)
+	})), false)
 }
 
 // execShardedStar runs the partition-parallel semi-naive fixpoint: the
@@ -225,13 +200,12 @@ func (e *Engine) shardedIndexJoin(ctx context.Context, sp *obs.Span, parts []*tr
 // subject partitions do not apply to a derived base), each partition
 // gets its own permutation index built on the worker pool, and every
 // round routes the delta to its shards and runs one probe task per
-// shard. The per-shard locals fold straight into the result set —
-// result.Add deduplicates, exactly like the flat loop — so no
-// intermediate merged relation is built per round. Cancellation is
+// shard. The per-shard emit buffers fold straight into the fixpoint,
+// which keeps what is new, exactly like the flat loop. Cancellation is
 // polled at every round boundary and at every shard-task pickup, so a
 // timed-out star stops deriving within one round and returns the
 // context's error rather than a partial fixpoint.
-func (n *starNode) execShardedStar(ctx *execCtx, base, seeds *triplestore.Relation) (*triplestore.Relation, error) {
+func (n *starNode) execShardedStar(ctx *execCtx, base *triplestore.Relation, seeds []triplestore.Triple) (*triplestore.Relation, error) {
 	e := ctx.e
 	ss := e.sharded
 	probe := n.objKeys[0]
@@ -251,38 +225,19 @@ func (n *starNode) execShardedStar(ctx *execCtx, base, seeds *triplestore.Relati
 			ixs[i] = triplestore.IndexTriples(parts[i], perm)
 		}
 	}))
-	result := seeds.Clone()
-	delta := seeds
-	rec := newRoundRecorder(ctx.trace, seeds.Len())
-	for delta.Len() > 0 {
+	fp := newFixpoint(ctx.trace, seeds)
+	for delta := seeds; len(delta) > 0; {
 		if err := ctx.ctx.Err(); err != nil {
 			return nil, err
 		}
-		rec.round(delta.Len())
-		buckets := bucketByPos(ss, delta.Slice(), deltaPos)
-		locals := make([]*triplestore.Relation, len(parts))
-		e.forEachShard(ctx.ctx, len(parts), timer.timedVoid(func(i int) {
+		buckets := bucketByPos(ss, delta, deltaPos)
+		derived := e.collectShards(ctx.ctx, len(parts), timer.timed(func(i int) []triplestore.Triple {
 			if len(buckets[i]) == 0 || ixs[i] == nil {
-				return
+				return nil
 			}
-			locals[i] = probeIndex(buckets[i], ixs[i], deltaPos, n.left, n.cc, n.out)
+			return probeIndex(buckets[i], ixs[i], deltaPos, n.left, n.cc, n.out)
 		}))
-		next := triplestore.NewRelation()
-		for _, l := range locals {
-			if l == nil {
-				continue
-			}
-			l.ForEach(func(t triplestore.Triple) {
-				if result.Add(t) {
-					next.Add(t)
-				}
-			})
-		}
-		delta = next
+		delta = fp.absorb(len(delta), derived)
 	}
-	if err := ctx.ctx.Err(); err != nil {
-		return nil, err
-	}
-	rec.done()
-	return result, nil
+	return fp.done(ctx)
 }

@@ -35,6 +35,20 @@ func (t Triple) Less(u Triple) bool {
 	return t[2] < u[2]
 }
 
+// Compare orders triples lexicographically: negative when t precedes u,
+// zero when they are equal, positive otherwise.
+func (t Triple) Compare(u Triple) int {
+	for i := range t {
+		if t[i] != u[i] {
+			if t[i] < u[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 func (t Triple) String() string {
 	return fmt.Sprintf("(%d,%d,%d)", t[0], t[1], t[2])
 }

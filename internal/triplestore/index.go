@@ -1,6 +1,7 @@
 package triplestore
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -109,23 +110,30 @@ type Index struct {
 // BuildIndex materializes the access path for r in the given permutation.
 // Prefer Relation.Index, which caches.
 func BuildIndex(r *Relation, perm Perm) *Index {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.buildIndexLocked(perm)
+}
+
+// buildIndexLocked is BuildIndex under r.mu. SPO key order is the sorted
+// view's order, so the SPO index aliases that view instead of copying it.
+func (r *Relation) buildIndexLocked(perm Perm) *Index {
 	if r.set == nil && r.src != nil { // source-backed: decode in permutation order
 		return &Index{perm: perm, triples: r.src.Run(perm)}
 	}
-	if r.set == nil { // run-backed: copy the sorted view, re-sort for the permutation
-		ts := append([]Triple(nil), r.sorted...)
-		if perm == SPO {
-			return &Index{perm: perm, triples: ts} // already in SPO key order
+	if perm == SPO {
+		return &Index{perm: SPO, triples: r.sortedLocked()}
+	}
+	var ts []Triple
+	if r.sorted != nil { // run-backed, or a cached view: cheaper to copy than the map
+		ts = slices.Clone(r.sorted)
+	} else {
+		ts = make([]Triple, 0, len(r.set))
+		for t := range r.set {
+			ts = append(ts, t)
 		}
-		sort.Slice(ts, func(i, j int) bool { return perm.key(ts[i]).Less(perm.key(ts[j])) })
-		return &Index{perm: perm, triples: ts}
 	}
-	ts := make([]Triple, 0, len(r.set))
-	for t := range r.set {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return perm.key(ts[i]).Less(perm.key(ts[j])) })
-	return &Index{perm: perm, triples: ts}
+	return &Index{perm: perm, triples: sortTriples(ts, perm)}
 }
 
 // IndexTriples materializes an access path over an arbitrary triple
@@ -133,9 +141,7 @@ func BuildIndex(r *Relation, perm Perm) *Index {
 // runtime partitions of derived relations — star bases and other
 // intermediate results that no Relation caches an index for.
 func IndexTriples(ts []Triple, perm Perm) *Index {
-	sorted := append([]Triple(nil), ts...)
-	sort.Slice(sorted, func(i, j int) bool { return perm.key(sorted[i]).Less(perm.key(sorted[j])) })
-	return &Index{perm: perm, triples: sorted}
+	return &Index{perm: perm, triples: sortTriples(slices.Clone(ts), perm)}
 }
 
 // withAdded returns a new Index that additionally covers t (which must
@@ -301,7 +307,7 @@ func (r *Relation) Index(perm Perm) *Index {
 		r.idx[perm] = ix
 		return ix
 	}
-	ix := BuildIndex(r, perm)
+	ix := r.buildIndexLocked(perm)
 	r.idx[perm] = ix
 	return ix
 }

@@ -1,7 +1,5 @@
 package triplestore
 
-import "sort"
-
 // RunSource serves a relation's content directly from storage — the seam
 // the disk engine's segment reader plugs into so a relation can be
 // queried without being materialized in memory first. A source-backed
@@ -57,7 +55,10 @@ func (r *Relation) SourceBacked() bool {
 // the set or the source as needed. A source-backed relation caches the
 // decoded run only when the source's residency policy allows (Retain);
 // otherwise the slice is transient and the next call decodes again.
-// Callers hold r.mu.
+// A set-backed relation whose SPO index is cached takes that index's
+// run — SPO key order is Triple.Less order — instead of sorting the map
+// a second time; an overlay on the index is folded into a fresh base
+// first, so view and index go on sharing one slice. Callers hold r.mu.
 func (r *Relation) sortedLocked() []Triple {
 	if r.sorted != nil {
 		return r.sorted
@@ -69,11 +70,18 @@ func (r *Relation) sortedLocked() []Triple {
 		}
 		return ts
 	}
+	if ix := r.idx[SPO]; ix != nil {
+		if len(ix.tail) > 0 {
+			ix = &Index{perm: SPO, triples: ix.Triples()}
+			r.idx[SPO] = ix
+		}
+		r.sorted = ix.triples
+		return r.sorted
+	}
 	sorted := make([]Triple, 0, len(r.set))
 	for t := range r.set {
 		sorted = append(sorted, t)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	r.sorted = sorted
-	return sorted
+	r.sorted = sortTriples(sorted, SPO)
+	return r.sorted
 }

@@ -1,6 +1,7 @@
 package triplestore
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -19,10 +20,21 @@ import (
 //
 // A relation may be run-backed: set == nil with the sorted view holding
 // the complete content (strictly sorted, duplicate-free). Bulk loading
-// from a checkpoint segment produces these — membership is answered by
-// binary search and the map is only materialized (ensureSet) when the
-// relation is first mutated, so cold-start recovery never pays for a
-// map it may never need.
+// from a checkpoint segment produces these, and so does every physical
+// operator of internal/engine (RelationFromRun) — membership is answered
+// by binary search and the map is only materialized (ensureSet) when the
+// relation is first mutated, so neither cold-start recovery nor a query's
+// intermediate results pay for a map they may never need.
+//
+// Operator-result contract: what operators exchange is a sorted run.
+// An operator emits triples into a slice, sorts it once and drops
+// adjacent duplicates (SortDedupe) — or skips the sort when its input
+// order already guarantees the output order, as a filter over a sorted
+// view does — and hands the slice over with RelationFromRun. Union,
+// Difference and Intersection are linear merges of their operands'
+// sorted views, and their result is again a run. The sorted view of an
+// immutable relation is one slice: Triples, Slice and Index(SPO) alias
+// it instead of deriving a copy each.
 //
 // A relation may further be source-backed: set == nil and sorted == nil
 // with src serving the content straight from storage (see RunSource).
@@ -57,6 +69,91 @@ func RelationOf(ts ...Triple) *Relation {
 		r.Add(t)
 	}
 	return r
+}
+
+// RelationFromRun adopts ts as a run-backed relation without copying or
+// hashing it. ts must be strictly sorted (Triple.Less) and therefore
+// duplicate-free — pass an arbitrary buffer through SortDedupe first —
+// and must not be modified afterwards.
+func RelationFromRun(ts []Triple) *Relation {
+	if ts == nil {
+		ts = []Triple{} // a nil sorted view means "stale", not "empty"
+	}
+	return &Relation{sorted: ts}
+}
+
+// SortDedupe sorts ts and drops adjacent duplicates: the set semantics
+// of a relation from one sort instead of one hash insert per triple. It
+// returns the strictly sorted result, which may or may not share ts's
+// storage; ts itself is left in unspecified order.
+func SortDedupe(ts []Triple) []Triple {
+	return slices.Compact(sortTriples(ts, SPO))
+}
+
+// radixMin is the length from which sortTriples radix-sorts: below it
+// the comparison sort wins and allocates nothing.
+const radixMin = 256
+
+// sortTriples sorts ts into perm key order and returns the sorted slice
+// — ts itself, or a scratch buffer of the same length when the radix
+// passes ended there. IDs are dense (a Dict assigns them from 0), so a
+// least-significant-digit radix sort over the three components needs
+// only as many 11-bit passes as the largest ID of each component has
+// digits: linear in len(ts), where a comparison sort pays log₂ n
+// three-way compares per triple. Operator results are sorted once each
+// and every index build is one sort, so this is the inner loop of both.
+// The scan that finds the largest IDs also notices input that is sorted
+// already, and components that repeat the next less significant one in
+// every triple — the (x, x, y) pairs and (x, x, x) nodes the
+// graph-language translations project — whose passes the stable sort of
+// that neighbour has already done.
+func sortTriples(ts []Triple, perm Perm) []Triple {
+	if len(ts) < radixMin {
+		slices.SortFunc(ts, func(a, b Triple) int { return perm.key(a).Compare(perm.key(b)) })
+		return ts
+	}
+	order := perm.key(Triple{0, 1, 2}) // components, most significant first
+	var maxID Triple
+	sorted, same01, same12 := true, true, true
+	for i, t := range ts {
+		for c, id := range t {
+			maxID[c] = max(maxID[c], id)
+		}
+		sorted = sorted && (i == 0 || !perm.key(t).Less(perm.key(ts[i-1])))
+		same01 = same01 && t[order[0]] == t[order[1]]
+		same12 = same12 && t[order[1]] == t[order[2]]
+	}
+	if sorted {
+		return ts
+	}
+	if same01 {
+		maxID[order[0]] = 0
+	}
+	if same12 {
+		maxID[order[1]] = 0
+	}
+	const digitBits, digits = 11, 1 << 11
+	src, dst := ts, make([]Triple, len(ts))
+	for k := 2; k >= 0; k-- {
+		c := order[k]
+		for shift := 0; maxID[c]>>shift != 0; shift += digitBits {
+			var pos [digits]int
+			for _, t := range src {
+				pos[(t[c]>>shift)%digits]++
+			}
+			sum := 0
+			for d, n := range pos {
+				pos[d], sum = sum, sum+n
+			}
+			for _, t := range src {
+				d := (t[c] >> shift) % digits
+				dst[pos[d]] = t
+				pos[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	return src
 }
 
 // Add inserts t and reports whether it was new. Permutation indexes that
@@ -184,22 +281,24 @@ func (r *Relation) Triples() []Triple {
 	return r.sortedLocked()
 }
 
-// Slice returns the triples in unspecified order: the cached sorted view
-// when one exists, otherwise an unsorted copy — cheaper than Triples()
-// when the caller only iterates. The returned slice must not be modified.
+// Slice returns the triples in unspecified order, never copying them out
+// of the membership map: the sorted view when one is cached or the
+// relation is run- or source-backed, otherwise any cached permutation
+// run without an overlay, and only failing both the sorted view built
+// (and cached) now. Cheaper than Triples() when the caller only iterates
+// and a POS or OSP index happens to be the warm access path. The returned
+// slice must not be modified.
 func (r *Relation) Slice() []Triple {
 	r.mu.Lock()
-	if r.sorted != nil || (r.set == nil && r.src != nil) {
-		s := r.sortedLocked()
-		r.mu.Unlock()
-		return s
+	defer r.mu.Unlock()
+	if r.sorted == nil && r.set != nil {
+		for _, ix := range r.idx {
+			if ix != nil && len(ix.tail) == 0 {
+				return ix.triples
+			}
+		}
 	}
-	r.mu.Unlock()
-	out := make([]Triple, 0, len(r.set))
-	for t := range r.set {
-		out = append(out, t)
-	}
-	return out
+	return r.sortedLocked()
 }
 
 // ForEach calls f on every triple in unspecified order.
@@ -254,48 +353,69 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// AddAll inserts every triple of s into r and reports how many were new.
-func (r *Relation) AddAll(s *Relation) int {
-	added := 0
-	s.ForEach(func(t Triple) {
-		if r.Add(t) {
-			added++
+// mergeSets walks two strictly sorted runs in step. keepA, keepB and
+// keepBoth select which triples reach the output: those only in a, only
+// in b, and in both — union is (true, true, true), difference (true,
+// false, false), intersection (false, false, true). The output is again
+// strictly sorted.
+func mergeSets(a, b []Triple, keepA, keepB, keepBoth bool) []Triple {
+	n := 0
+	if keepA {
+		n += len(a)
+	}
+	if keepB {
+		n += len(b)
+	}
+	if !keepA && !keepB {
+		n = min(len(a), len(b))
+	}
+	out := make([]Triple, 0, n)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := a[i].Compare(b[j]); {
+		case c < 0:
+			if keepA {
+				out = append(out, a[i])
+			}
+			i++
+		case c > 0:
+			if keepB {
+				out = append(out, b[j])
+			}
+			j++
+		default:
+			if keepBoth {
+				out = append(out, a[i])
+			}
+			i++
+			j++
 		}
-	})
-	return added
+	}
+	if keepA {
+		out = append(out, a[i:]...)
+	}
+	if keepB {
+		out = append(out, b[j:]...)
+	}
+	return out
 }
 
-// Union returns a new relation containing the triples of a and b.
+// Union returns a new relation containing the triples of a and b. Like
+// Difference and Intersection it is a linear merge of the operands'
+// sorted views (built and cached first where a set-backed operand has
+// none), and its result is run-backed.
 func Union(a, b *Relation) *Relation {
-	r := a.Clone()
-	r.AddAll(b)
-	return r
+	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), true, true, true))
 }
 
 // Difference returns a new relation containing triples of a not in b.
 func Difference(a, b *Relation) *Relation {
-	r := NewRelationCap(a.Len())
-	a.ForEach(func(t Triple) {
-		if !b.Has(t) {
-			r.Add(t)
-		}
-	})
-	return r
+	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), true, false, false))
 }
 
 // Intersection returns a new relation containing triples in both a and b.
 func Intersection(a, b *Relation) *Relation {
-	small, large := a, b
-	if small.Len() > large.Len() {
-		small, large = large, small
-	}
-	r := NewRelationCap(small.Len())
-	small.ForEach(func(t Triple) {
-		if large.Has(t) {
-			r.Add(t)
-		}
-	})
-	return r
+	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), false, false, true))
 }
 
 // Equal reports whether a and b contain exactly the same triples.

@@ -12,7 +12,7 @@ import (
 func partitionUnion(parts []*Relation) *Relation {
 	u := NewRelation()
 	for _, p := range parts {
-		u.AddAll(p)
+		u = Union(u, p)
 	}
 	return u
 }
