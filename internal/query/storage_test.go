@@ -150,6 +150,42 @@ func TestQuerierColdStorage(t *testing.T) {
 	}
 }
 
+// TestStatsRefreshesPerPinnedQuery: the planner reads statistics off the
+// pinned snapshot, never off the live store, so the live store's
+// StatsRefreshes (what /v1/stats and the benchmark report) must count
+// the snapshots' rebuilds: N writes each followed by a query → N.
+func TestStatsRefreshesPerPinnedQuery(t *testing.T) {
+	eng, err := storage.Open(t.TempDir(), storage.WithSyncPolicy(storage.SyncNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := NewStorage(eng)
+	defer q.Close()
+	write := func(i int) {
+		if _, err := eng.ApplyBatch([]triplestore.Op{{Rel: "E", S: fmt.Sprintf("n%d", i), P: "p", O: "n0"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0)
+	if _, err := q.Query(LangTriAL, "E"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	before := eng.Store().StatsRefreshes()
+	for i := 1; i <= n; i++ {
+		write(i)
+		for j := 0; j < 3; j++ { // same version: one pin, one refresh
+			if _, err := q.Query(LangTriAL, "join[1,2,3'; 3=1'](E, E)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := eng.Store().StatsRefreshes() - before; got != n {
+		t.Errorf("%d writes each followed by pinned queries: %d statistics refreshes, want %d", n, got, n)
+	}
+}
+
 // TestQuerierCloseIsNoOpWithoutBackend pins that Close on a plain
 // Querier is safe and idempotent.
 func TestQuerierCloseIsNoOpWithoutBackend(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -200,130 +200,29 @@ func Open(dir string, opts ...Option) (*Disk, error) {
 	return e, nil
 }
 
-// loadSegments assembles the store covered by the manifest's segments.
+// loadSegments assembles the store covered by the manifest's segments,
+// oldest to newest: each segment's dictionary delta appends, the newest
+// value of an ID wins, and a relation's per-segment layers compose with
+// every later layer's tombstones filtering an earlier layer's adds
+// (tombstonesAfter).
 //
 // With a negative budget (the default) everything materializes eagerly:
-// a single tombstone-free checkpoint installs its pre-sorted runs as
-// ready-made access paths (the cold-start fast path); a segment stack
-// replays adds and tombstones oldest-to-newest into plain sets.
+// per permutation the layers' sorted runs k-way merge into one run, and
+// the three runs install as the relation's ready-made access paths — a
+// single tombstone-free checkpoint installs its runs as they are (the
+// cold-start fast path), and a recovered segment stack is run-backed
+// exactly like it.
 //
 // With a non-negative budget the runs are NOT decoded: each relation is
 // installed source-backed over the mapped segment stack (see
 // segreader.go), and the returned segments and tracker are retained on
 // the engine for unmapping at Close and for residency stats.
 func loadSegments(dir string, man *manifest, budget int64) (*triplestore.Store, []*segment, *residency, error) {
-	if budget >= 0 {
-		return loadSegmentsLazy(dir, man, budget)
+	eager := budget < 0
+	read := readSegmentLazy
+	if eager {
+		read = readSegment
 	}
-	store, err := loadSegmentsEager(dir, man)
-	return store, nil, nil, err
-}
-
-func loadSegmentsEager(dir string, man *manifest) (*triplestore.Store, error) {
-	bl := triplestore.NewBulkLoader()
-	segs := make([]*segment, 0, len(man.Segments))
-	for _, ms := range man.Segments {
-		seg, err := readSegment(filepath.Join(dir, ms.File))
-		if err != nil {
-			return nil, err
-		}
-		if seg.seq != ms.Seq {
-			return nil, fmt.Errorf("storage: %s: segment seq %d, manifest says %d", ms.File, seg.seq, ms.Seq)
-		}
-		segs = append(segs, seg)
-	}
-	fastPath := len(segs) == 1 && segs[0].dictBase == 0
-	if fastPath {
-		for _, rel := range segs[0].rels {
-			if len(rel.dels) > 0 {
-				fastPath = false
-				break
-			}
-		}
-	}
-	switch {
-	case len(segs) == 0:
-		// Fresh or WAL-only directory: an empty store.
-	case fastPath:
-		seg := segs[0]
-		if err := bl.AddNames(seg.names); err != nil {
-			return nil, err
-		}
-		for _, v := range seg.values {
-			if v.val == nil {
-				continue
-			}
-			if err := bl.SetValueID(v.id, v.val); err != nil {
-				return nil, err
-			}
-		}
-		for _, rel := range seg.rels {
-			if err := bl.SetRelationRuns(rel.name,
-				rel.runs[triplestore.SPO], rel.runs[triplestore.POS], rel.runs[triplestore.OSP]); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		relSets := make(map[string]map[triplestore.Triple]struct{})
-		var relOrder []string
-		type valState struct{ val triplestore.Value }
-		vals := make(map[triplestore.ID]valState)
-		for _, seg := range segs {
-			if seg.dictBase != bl.NumNames() {
-				return nil, fmt.Errorf("storage: %s: dict base %d, expected %d", seg.file, seg.dictBase, bl.NumNames())
-			}
-			if err := bl.AddNames(seg.names); err != nil {
-				return nil, err
-			}
-			for _, v := range seg.values {
-				vals[v.id] = valState{val: v.val} // newest segment wins
-			}
-			for _, rel := range seg.rels {
-				set, okRel := relSets[rel.name]
-				if !okRel {
-					set = make(map[triplestore.Triple]struct{}, len(rel.runs[triplestore.SPO]))
-					relSets[rel.name] = set
-					relOrder = append(relOrder, rel.name)
-				}
-				for _, t := range rel.runs[triplestore.SPO] {
-					set[t] = struct{}{}
-				}
-				for _, t := range rel.dels {
-					delete(set, t)
-				}
-			}
-		}
-		ids := make([]triplestore.ID, 0, len(vals))
-		for id := range vals {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if v := vals[id].val; v != nil {
-				if err := bl.SetValueID(id, v); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for _, name := range relOrder {
-			if err := bl.SetRelationSet(name, relSets[name]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if bl.NumNames() != man.DictLen {
-		return nil, fmt.Errorf("storage: segments cover %d names, manifest says %d", bl.NumNames(), man.DictLen)
-	}
-	return bl.Store(), nil
-}
-
-// loadSegmentsLazy assembles a store whose relations are served from
-// the mapped segment files instead of the heap. The dictionary and
-// value sections still load eagerly (interning needs them resolvable),
-// but no triple run is decoded here: each relation gets a segSource
-// over its per-segment layers, with later layers' tombstones folded
-// into earlier layers' filters.
-func loadSegmentsLazy(dir string, man *manifest, budget int64) (*triplestore.Store, []*segment, *residency, error) {
 	bl := triplestore.NewBulkLoader()
 	segs := make([]*segment, 0, len(man.Segments))
 	fail := func(err error) (*triplestore.Store, []*segment, *residency, error) {
@@ -334,13 +233,15 @@ func loadSegmentsLazy(dir string, man *manifest, budget int64) (*triplestore.Sto
 		}
 		return nil, nil, nil, err
 	}
-	type valState struct{ val triplestore.Value }
-	vals := make(map[triplestore.ID]valState)
-	relLayers := make(map[string][]segLayer)
-	relDels := make(map[string][][]triplestore.Triple)
+	vals := make(map[triplestore.ID]triplestore.Value)
+	type layer struct {
+		seg *segment
+		rel int // index into seg.rels and seg.rawRuns
+	}
+	relLayers := make(map[string][]layer)
 	var relOrder []string
 	for _, ms := range man.Segments {
-		seg, err := readSegmentLazy(filepath.Join(dir, ms.File))
+		seg, err := read(filepath.Join(dir, ms.File))
 		if err != nil {
 			return fail(err)
 		}
@@ -355,59 +256,68 @@ func loadSegmentsLazy(dir string, man *manifest, budget int64) (*triplestore.Sto
 			return fail(err)
 		}
 		for _, v := range seg.values {
-			vals[v.id] = valState{val: v.val} // newest segment wins
+			vals[v.id] = v.val // newest segment wins
 		}
-		for ri := range seg.rels {
-			rel := &seg.rels[ri]
+		for ri, rel := range seg.rels {
 			if _, ok := relLayers[rel.name]; !ok {
 				relOrder = append(relOrder, rel.name)
 			}
-			relLayers[rel.name] = append(relLayers[rel.name], segLayer{raws: &seg.rawRuns[ri]})
-			relDels[rel.name] = append(relDels[rel.name], rel.dels)
+			relLayers[rel.name] = append(relLayers[rel.name], layer{seg, ri})
 		}
 	}
 	ids := make([]triplestore.ID, 0, len(vals))
 	for id := range vals {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		if v := vals[id].val; v != nil {
+		if v := vals[id]; v != nil {
 			if err := bl.SetValueID(id, v); err != nil {
 				return fail(err)
 			}
 		}
 	}
-	tracker := newResidency(budget)
+	var tracker *residency
+	if !eager {
+		tracker = newResidency(budget)
+	}
 	for _, name := range relOrder {
 		layers := relLayers[name]
-		dels := relDels[name]
-		// Fold each layer's tombstones into every EARLIER layer's filter:
-		// walking newest to oldest, cum is the union of dels strictly
-		// after the current layer. The maps are shared read-only.
-		var cum map[triplestore.Triple]struct{}
-		for i := len(layers) - 1; i >= 0; i-- {
-			layers[i].delsAfter = cum
-			if len(dels[i]) > 0 {
-				next := make(map[triplestore.Triple]struct{}, len(cum)+len(dels[i]))
-				for t := range cum {
-					next[t] = struct{}{}
-				}
-				for _, t := range dels[i] {
-					next[t] = struct{}{}
-				}
-				cum = next
-			}
+		dels := make([][]triplestore.Triple, len(layers))
+		for i, l := range layers {
+			dels[i] = l.seg.rels[l.rel].dels
 		}
-		src := newSegSource(name, layers)
-		src.res = &relResidency{tr: tracker, estBytes: int64(src.count) * bytesPerResidentTriple}
-		tracker.coldRels++
-		if err := bl.SetRelationSource(name, src); err != nil {
+		after := tombstonesAfter(dels)
+		var err error
+		if eager {
+			var runs [3][]triplestore.Triple
+			for perm := range runs {
+				lists := make([][]triplestore.Triple, len(layers))
+				for i, l := range layers {
+					lists[i] = filterDeleted(l.seg.rels[l.rel].runs[perm], after[i])
+				}
+				runs[perm] = mergePermLists(triplestore.Perm(perm), lists)
+			}
+			err = bl.SetRelationRuns(name, runs[triplestore.SPO], runs[triplestore.POS], runs[triplestore.OSP])
+		} else {
+			sl := make([]segLayer, len(layers))
+			for i, l := range layers {
+				sl[i] = segLayer{raws: &l.seg.rawRuns[l.rel], delsAfter: after[i]}
+			}
+			src := newSegSource(name, sl)
+			src.res = &relResidency{tr: tracker, estBytes: int64(src.count) * bytesPerResidentTriple}
+			tracker.coldRels++
+			err = bl.SetRelationSource(name, src)
+		}
+		if err != nil {
 			return fail(err)
 		}
 	}
 	if bl.NumNames() != man.DictLen {
 		return fail(fmt.Errorf("storage: segments cover %d names, manifest says %d", bl.NumNames(), man.DictLen))
+	}
+	if eager {
+		return bl.Store(), nil, nil, nil
 	}
 	return bl.Store(), segs, tracker, nil
 }
@@ -696,7 +606,7 @@ func (e *Disk) flushLocked() error {
 	for id := range e.dirtyVals {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		sd.values = append(sd.values, segValue{id: id, val: e.store.Value(id)})
 	}
@@ -714,7 +624,7 @@ func (e *Disk) flushLocked() error {
 			relNames = append(relNames, name)
 		}
 	}
-	sort.Strings(relNames)
+	slices.Sort(relNames)
 	for _, name := range relNames {
 		rel := segRelation{name: name}
 		adds := e.ovAdds[name]
@@ -722,18 +632,15 @@ func (e *Disk) flushLocked() error {
 		for t := range adds {
 			base = append(base, t)
 		}
-		for perm := triplestore.Perm(0); perm < 3; perm++ {
-			run := append([]triplestore.Triple(nil), base...)
-			p := perm
-			sort.Slice(run, func(i, j int) bool { return permKey(p, run[i]).Less(permKey(p, run[j])) })
-			rel.runs[perm] = run
+		for perm := range rel.runs {
+			rel.runs[perm] = triplestore.SortPerm(slices.Clone(base), triplestore.Perm(perm))
 		}
 		dels := e.ovDels[name]
 		rel.dels = make([]triplestore.Triple, 0, len(dels))
 		for t := range dels {
 			rel.dels = append(rel.dels, t)
 		}
-		sort.Slice(rel.dels, func(i, j int) bool { return rel.dels[i].Less(rel.dels[j]) })
+		rel.dels = triplestore.SortPerm(rel.dels, triplestore.SPO)
 		sd.rels = append(sd.rels, rel)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/triplestore"
@@ -238,5 +239,46 @@ func TestRecoveryCorruptionFailsLoudly(t *testing.T) {
 	os.Remove(filepath.Join(missingCopy, man.Segments[0].File))
 	if _, err := Open(missingCopy); err == nil {
 		t.Fatal("Open succeeded with a manifest-referenced segment missing")
+	}
+}
+
+// TestEagerSegmentStackRecoversRunBacked: an eager open of a segment
+// stack with tombstones k-way merges each relation's per-segment runs
+// into one run per permutation, so a recovered relation is run-backed
+// with all three indexes installed, exactly like a checkpointed one: its
+// first sorted view and index probes allocate nothing.
+func TestEagerSegmentStackRecoversRunBacked(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := Open(dir, WithSyncPolicy(SyncNone), WithFlushBytes(2048), WithCompactAt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyScript(t, eng, 41, 24, 40)
+	want := eng.Store().Clone()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, WithSyncPolicy(SyncNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Segments < 3 || st.WALReplayed != 0 {
+		t.Fatalf("stats = %+v: want a segment stack and no WAL tail", st)
+	}
+	assertStoresEqual(t, re.Store(), want)
+	for _, name := range re.Store().RelationNames() {
+		r := re.Store().Relation(name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Triples()
+		for _, p := range []triplestore.Perm{triplestore.SPO, triplestore.POS, triplestore.OSP} {
+			r.Index(p)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1024 {
+			t.Errorf("relation %s (%d triples): first view and index reads allocated %d bytes; want its runs installed at open",
+				name, r.Len(), n)
+		}
 	}
 }

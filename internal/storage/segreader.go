@@ -248,6 +248,30 @@ func (s *segSource) Retain(force bool) bool {
 	return s.res.retain(force)
 }
 
+// tombstonesAfter takes one relation's per-layer tombstones, oldest layer
+// first, and returns each layer's delsAfter: the union of the tombstones
+// of every later layer. Walking newest to oldest, each set extends the
+// one after it; the sets are shared read-only, and nil where no later
+// layer deletes anything.
+func tombstonesAfter(dels [][]triplestore.Triple) []map[triplestore.Triple]struct{} {
+	after := make([]map[triplestore.Triple]struct{}, len(dels))
+	var cum map[triplestore.Triple]struct{}
+	for i := len(dels) - 1; i >= 0; i-- {
+		after[i] = cum
+		if len(dels[i]) > 0 {
+			next := make(map[triplestore.Triple]struct{}, len(cum)+len(dels[i]))
+			for t := range cum {
+				next[t] = struct{}{}
+			}
+			for _, t := range dels[i] {
+				next[t] = struct{}{}
+			}
+			cum = next
+		}
+	}
+	return after
+}
+
 // filterDeleted drops triples tombstoned by later layers. The common
 // no-tombstone case returns ts unchanged (no copy).
 func filterDeleted(ts []triplestore.Triple, dels map[triplestore.Triple]struct{}) []triplestore.Triple {

@@ -46,10 +46,15 @@ func (s *Store) ApplyBatch(ops []Op) (BatchResult, error) {
 // duplicate, a delete that found its triple), effect is invoked with the
 // op and the resolved triple, in batch order, before the batch's version
 // bump. No-op inserts and absent deletes do not fire it. The callback runs
-// under the store's write lock, so it observes exactly the state the batch
-// produces and must not call back into the store; the durable storage
-// engine uses it to maintain its flush overlay (which triples the next
-// segment must contain) without diffing snapshots.
+// under the store's write lock and must not call back into the store; the
+// durable storage engine uses it to maintain its flush overlay (which
+// triples the next segment must contain) without diffing snapshots.
+//
+// Relations no snapshot holds are mutated in place, op by op. A frozen
+// relation is left untouched: the batch records the membership of every
+// triple it touches there, and at the end replaces the relation by one
+// merge of the net delta into its runs (copy-on-write by merge, see
+// Store).
 func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchResult, error) {
 	s.ensureMutable()
 	for i, op := range ops {
@@ -61,39 +66,76 @@ func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchRes
 	defer s.mu.Unlock()
 	var res BatchResult
 	changed := false
+	var deltas map[string]relDelta // frozen relations this batch writes
 	for _, op := range ops {
+		var t Triple
 		if op.Delete {
 			si, pi, oi := s.dict.Lookup(op.S), s.dict.Lookup(op.P), s.dict.Lookup(op.O)
 			if si == NoID || pi == NoID || oi == NoID {
 				continue
 			}
-			t := Triple{si, pi, oi}
-			r, ok := s.rels[op.Rel]
+			t = Triple{si, pi, oi}
+		} else {
+			si, new1 := s.internLocked(op.S)
+			pi, new2 := s.internLocked(op.P)
+			oi, new3 := s.internLocked(op.O)
+			changed = changed || new1 || new2 || new3
+			t = Triple{si, pi, oi}
+		}
+		r, ok := s.rels[op.Rel]
+		switch {
+		case ok && r.frozen:
+			d := deltas[op.Rel]
+			m, seen := d[t]
+			if !seen {
+				m.was = r.Has(t)
+				m.now = m.was
+			}
+			if m.now != op.Delete {
+				continue // duplicate insert or absent delete
+			}
+			if d == nil {
+				d = make(relDelta)
+				if deltas == nil {
+					deltas = make(map[string]relDelta)
+				}
+				deltas[op.Rel] = d
+			}
+			m.now = !op.Delete
+			d[t] = m
+		case op.Delete:
 			if !ok || !r.Has(t) {
 				continue
 			}
 			s.mutableRelLocked(op.Rel).Remove(t)
+		default:
+			if ok && r.Has(t) {
+				continue
+			}
+			s.mutableRelLocked(op.Rel).Add(t)
+		}
+		if op.Delete {
 			res.Removed++
-			changed = true
-			if effect != nil {
-				effect(op, t)
-			}
-			continue
-		}
-		si, new1 := s.internLocked(op.S)
-		pi, new2 := s.internLocked(op.P)
-		oi, new3 := s.internLocked(op.O)
-		changed = changed || new1 || new2 || new3
-		t := Triple{si, pi, oi}
-		if r, ok := s.rels[op.Rel]; ok && r.Has(t) {
-			continue // duplicate: don't copy-on-write a frozen relation
-		}
-		if s.mutableRelLocked(op.Rel).Add(t) {
+		} else {
 			res.Added++
-			changed = true
-			if effect != nil {
-				effect(op, t)
+		}
+		changed = true
+		if effect != nil {
+			effect(op, t)
+		}
+	}
+	for name, d := range deltas {
+		var adds, dels []Triple
+		for t, m := range d {
+			switch {
+			case m.now && !m.was:
+				adds = append(adds, t)
+			case m.was && !m.now:
+				dels = append(dels, t)
 			}
+		}
+		if len(adds)+len(dels) > 0 {
+			s.mergeRelLocked(name, s.rels[name], adds, dels)
 		}
 	}
 	if changed {
@@ -105,6 +147,11 @@ func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchRes
 	res.Version = s.version.Load()
 	return res, nil
 }
+
+// relDelta is a batch's pending write to one frozen relation: for every
+// triple the batch's ops touched there, whether the relation held it
+// before the batch and whether it holds it after the ops so far.
+type relDelta map[Triple]struct{ was, now bool }
 
 // batchLine is the NDJSON wire form of an Op.
 type batchLine struct {

@@ -82,6 +82,9 @@ func (b *BulkLoader) SetRelationRuns(name string, spo, pos, osp []Triple) error 
 	// run-backed (set == nil, the sorted view authoritative) until its
 	// first mutation materializes the map. Skipping the 1-map-insert-
 	// per-triple build is most of what makes checkpoint recovery fast.
+	if spo == nil {
+		spo = []Triple{} // a nil sorted view means "stale", not "empty"
+	}
 	r := &Relation{
 		sorted: spo, // SPO key order is Triple.Less order, i.e. the sorted view
 		idx: [numPerms]*Index{
@@ -111,49 +114,19 @@ func (b *BulkLoader) SetRelationSource(name string, src RunSource) error {
 	return b.installRelation(name, &Relation{src: src})
 }
 
-// SetRelationSet installs the named relation from a plain triple set,
-// leaving access paths to build lazily. The multi-segment recovery path
-// (where adds and tombstones from several segments must be merged) uses
-// this; single-checkpoint recovery prefers SetRelationRuns.
-func (b *BulkLoader) SetRelationSet(name string, set map[Triple]struct{}) error {
-	b.ensureOpen()
-	if name == "" {
-		return fmt.Errorf("triplestore: bulk load: empty relation name")
-	}
-	return b.installRelation(name, &Relation{set: set})
-}
-
 func (b *BulkLoader) installRelation(name string, r *Relation) error {
 	if _, ok := b.s.rels[name]; ok {
 		return fmt.Errorf("triplestore: bulk load: relation %q loaded twice", name)
 	}
-	if r.set == nil && r.src != nil {
-		// Source-backed: nothing is decoded at install time, so there is
-		// no content to range-check here; the source's open-time checksum
-		// verification covers it.
-		b.s.rels[name] = r
-		b.s.relNames = append(b.s.relNames, name)
-		return nil
-	}
+	// A source-backed relation has no decoded content to range-check
+	// here (r.sorted is nil); the source's open-time checksum
+	// verification covers it. A run-backed one's sorted view is its
+	// content.
 	max := ID(len(b.s.values))
-	check := func(t Triple) error {
+	for _, t := range r.sorted {
 		if t[0] >= max || t[1] >= max || t[2] >= max {
 			return fmt.Errorf("triplestore: bulk load: relation %q: triple %v references unknown ID (have %d objects)",
 				name, t, max)
-		}
-		return nil
-	}
-	if r.set == nil { // run-backed (SetRelationRuns): the sorted view is the content
-		for _, t := range r.sorted {
-			if err := check(t); err != nil {
-				return err
-			}
-		}
-	} else {
-		for t := range r.set {
-			if err := check(t); err != nil {
-				return err
-			}
 		}
 	}
 	b.s.rels[name] = r

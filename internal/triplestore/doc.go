@@ -12,13 +12,15 @@
 // Store methods (Add, Remove, SetValue, ApplyBatch, ...), which are
 // serialized internally and advance an atomic version counter, while
 // readers that need a consistent view evaluate against Store.Snapshot —
-// an immutable copy-on-write view whose relations are frozen and cloned
-// by the live store before its next write. ApplyBatch ingests NDJSON
-// batches (ReadOps) and advances the version once per batch, making the
-// batch the unit of visibility for concurrent queries. Already-built
-// permutation indexes are maintained incrementally on insertion (a
-// sorted overlay per Index, merged when it outgrows a threshold) rather
-// than rebuilt from scratch.
+// an immutable copy-on-write view whose relations are frozen: the live
+// store's next write to one merges its net delta into the relation's
+// sorted runs and installs the result as a new relation (copy-on-write
+// by merge), while relations no snapshot holds mutate in place.
+// ApplyBatch ingests NDJSON batches (ReadOps) and advances the version
+// once per batch, making the batch the unit of visibility for concurrent
+// queries. Already-built permutation indexes are carried through either
+// path rather than rebuilt from scratch: merged into on copy-on-write,
+// extended by a sorted overlay per Index on in-place insertion.
 //
 // ShardedStore hash-partitions every relation by subject into a
 // configurable number of shards alongside the authoritative union store,

@@ -185,6 +185,39 @@ func mergeRuns(perm Perm, a, b []Triple) []Triple {
 	return out
 }
 
+// mergeDelta returns base, a run sorted in perm key order, with dels
+// removed and adds inserted: one new run in the same order. adds and dels
+// are sorted in perm key order too, every del is in base and no add is —
+// the net change of a write, as the store computes it. Each delta triple
+// is placed by binary search and base is copied in bulk between them, so
+// a batch of d triples into a run of n costs O(d log n) comparisons plus
+// one copy of the run. An empty delta returns base itself.
+func mergeDelta(perm Perm, base, adds, dels []Triple) []Triple {
+	if len(adds) == 0 && len(dels) == 0 {
+		return base
+	}
+	out := make([]Triple, 0, len(base)+len(adds)-len(dels))
+	for len(adds) > 0 || len(dels) > 0 {
+		add := len(dels) == 0 || len(adds) > 0 && perm.key(adds[0]).Less(perm.key(dels[0]))
+		next := dels
+		if add {
+			next = adds
+		}
+		key := perm.key(next[0])
+		i := sort.Search(len(base), func(i int) bool { return !perm.key(base[i]).Less(key) })
+		out = append(out, base[:i]...)
+		base = base[i:]
+		if add {
+			out = append(out, adds[0])
+			adds = adds[1:]
+		} else {
+			base = base[1:] // base[0] is dels[0]
+			dels = dels[1:]
+		}
+	}
+	return append(out, base...)
+}
+
 // Perm returns the index's permutation order.
 func (ix *Index) Perm() Perm { return ix.perm }
 
@@ -286,8 +319,9 @@ func (ix *Index) MatchCount(id ID) int {
 }
 
 // Index returns the relation's access path for the given permutation,
-// building and caching it on first use. Store-mediated additions extend
-// the cached index incrementally (see Relation.Add); removals drop it.
+// building and caching it on first use. In-place additions extend the
+// cached index incrementally (see Relation.Add) and removals drop it; a
+// store write to a frozen relation merges into it (withDelta).
 //
 // While a relation is source-backed and its residency policy forbids
 // retention, each call returns a fresh uncached delegating index: probes

@@ -12,11 +12,17 @@ import (
 //
 // A relation is safe for concurrent readers (Has, Triples, Index, ForEach,
 // ...): the lazily built sorted view and permutation indexes are guarded
-// by a mutex. Mutation (Add, AddAll, Remove) requires exclusive access.
+// by a mutex. Mutation (Add, Remove) requires exclusive access.
+//
+// Copy-on-write by merge; private relations mutate in place.
 // Store.Snapshot freezes its relations: a frozen relation rejects
-// mutation (panics), and the live store transparently clones it on the
-// next store-mediated write (copy-on-write), so snapshot readers never
-// observe a change.
+// mutation (panics). A store-mediated write to a frozen relation never
+// touches it — the store replaces it with a new run-backed relation
+// (withDelta), one linear merge of the write's net delta into the sorted
+// view and into every cached permutation run — so snapshot readers never
+// observe a change and the next reader finds the same indexes warm. A
+// relation no snapshot holds (a store being built, ingest, WAL replay) is
+// mutated in place by Add and Remove instead.
 //
 // A relation may be run-backed: set == nil with the sorted view holding
 // the complete content (strictly sorted, duplicate-free). Bulk loading
@@ -44,7 +50,7 @@ import (
 type Relation struct {
 	set    map[Triple]struct{} // nil ⇒ run- or source-backed
 	src    RunSource           // non-nil ⇒ content may be served from storage
-	frozen bool                // set by Store.Snapshot; mutation panics, the store clones first
+	frozen bool                // set by Store.Snapshot; mutation panics, the store merges instead
 
 	mu     sync.Mutex       // guards the lazy caches below
 	sorted []Triple         // cached sorted view; nil when stale
@@ -89,6 +95,12 @@ func RelationFromRun(ts []Triple) *Relation {
 func SortDedupe(ts []Triple) []Triple {
 	return slices.Compact(sortTriples(ts, SPO))
 }
+
+// SortPerm sorts ts into perm key order — the order of the permutation's
+// Index run — and returns the sorted slice, which may be ts itself or a
+// new buffer of the same length; ts is left in unspecified order. It is
+// the radix sort every index build uses, exported for storage's flush.
+func SortPerm(ts []Triple, perm Perm) []Triple { return sortTriples(ts, perm) }
 
 // radixMin is the length from which sortTriples radix-sorts: below it
 // the comparison sort wins and allocates nothing.
@@ -328,8 +340,7 @@ func (r *Relation) ForEach(f func(Triple)) {
 // Clone returns an unfrozen copy of r. The sorted view and permutation
 // indexes are shared with r (both are immutable snapshots, replaced or
 // dropped independently on mutation), so cloning before a fixpoint does
-// not re-sort — and the store's copy-on-write of a frozen relation keeps
-// its access paths warm.
+// not re-sort.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{}
 	if r.set != nil {
@@ -341,9 +352,9 @@ func (r *Relation) Clone() *Relation {
 	// A run-backed clone stays run-backed, and a source-backed clone
 	// stays source-backed (sources are immutable and safely shared): the
 	// shared sorted view is never mutated in place (Add/Remove
-	// materialize a private map and drop the cache), so copy-on-write of
-	// a bulk-loaded relation is a pointer copy until someone actually
-	// writes to the copy.
+	// materialize a private map and drop the cache), so cloning a
+	// run-backed relation is a pointer copy until someone actually writes
+	// to the copy.
 	r.mu.Lock()
 	c.sorted = r.sorted
 	c.src = r.src
@@ -351,6 +362,34 @@ func (r *Relation) Clone() *Relation {
 	c.stats = r.stats
 	r.mu.Unlock()
 	return c
+}
+
+// withDelta returns a new, unfrozen, run-backed relation holding r's
+// content plus adds minus dels — the store's copy-on-write of a frozen
+// relation. adds must be absent from r and dels present, both
+// duplicate-free; withDelta reorders them. The delta is merged into the
+// sorted view (which is also the new SPO index) and into every other
+// permutation run r has cached; r itself only gains a cached sorted view
+// if it had none. An empty delta shares r's runs.
+func (r *Relation) withDelta(adds, dels []Triple) *Relation {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := &Relation{}
+	for p := SPO; p < numPerms; p++ {
+		var base []Triple
+		switch ix := r.idx[p]; {
+		case p == SPO:
+			base = r.sortedLocked()
+		case ix != nil:
+			base = ix.Triples()
+		default:
+			continue
+		}
+		adds, dels = sortTriples(adds, p), sortTriples(dels, p)
+		out.idx[p] = &Index{perm: p, triples: mergeDelta(p, base, adds, dels)}
+	}
+	out.sorted = out.idx[SPO].triples
+	return out
 }
 
 // mergeSets walks two strictly sorted runs in step. keepA, keepB and

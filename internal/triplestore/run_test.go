@@ -148,13 +148,19 @@ func TestSortTriplesMatchesComparisonSort(t *testing.T) {
 type sliceSource struct {
 	rel    *Relation // set-backed holder of the content
 	retain bool
+	forced int // Retain(true) calls: promotions by the store's write path
 }
 
 func (s *sliceSource) Len() int                        { return s.rel.Len() }
 func (s *sliceSource) Run(perm Perm) []Triple          { return BuildIndex(s.rel, perm).Triples() }
 func (s *sliceSource) Match(perm Perm, id ID) []Triple { return BuildIndex(s.rel, perm).Match(id) }
 func (s *sliceSource) Leads(perm Perm) []ID            { return BuildIndex(s.rel, perm).Leads() }
-func (s *sliceSource) Retain(force bool) bool          { return s.retain || force }
+func (s *sliceSource) Retain(force bool) bool {
+	if force {
+		s.forced++
+	}
+	return s.retain || force
+}
 
 // representations builds the same content as a set-backed relation, a
 // frozen one (through a store snapshot), a run-backed one, and

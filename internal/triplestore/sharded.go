@@ -249,7 +249,8 @@ func (ss *ShardedStore) ApplyNDJSON(r io.Reader, defaultRel string) (BatchResult
 // Snapshot returns an immutable view of the sharded store at its current
 // version: the union Store's copy-on-write snapshot plus the partition
 // relations frozen at the same instant. Subsequent writes to the live
-// store clone any frozen partition before mutating, so engines holding
+// store merge into frozen union relations (Store) and clone any frozen
+// partition before mutating it, so engines holding
 // the snapshot evaluate lock-free while ingest proceeds. Snapshotting a
 // snapshot returns the receiver.
 func (ss *ShardedStore) Snapshot() *ShardedStore {

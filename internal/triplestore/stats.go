@@ -1,6 +1,10 @@
 package triplestore
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // RelStats summarizes one relation for cost-based query optimization:
 // its cardinality and the number of distinct objects in each of the
@@ -62,46 +66,89 @@ func (st RelStats) WorstFanout(pos int) float64 {
 
 // Stats computes (and caches) the relation's statistics. Like the sorted
 // view and the permutation indexes, the cached statistics are dropped on
-// mutation, so they are always consistent with the current contents; the
-// recomputation is a single O(|R|) pass. Safe for concurrent readers.
+// mutation, so they are always consistent with the current contents.
+// Safe for concurrent readers.
 func (r *Relation) Stats() RelStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stats != nil {
-		return *r.stats
-	}
-	n := r.Len()
-	var counts [3]map[ID]int
-	for i := range counts {
-		counts[i] = make(map[ID]int, n)
-	}
-	count := func(t Triple) {
-		counts[0][t[0]]++
-		counts[1][t[1]]++
-		counts[2][t[2]]++
-	}
-	if r.set == nil { // run- or source-backed: the sorted view is the content
-		for _, t := range r.sortedLocked() {
-			count(t)
+	if r.stats == nil {
+		ts := r.sorted
+		switch {
+		case ts != nil:
+		case r.set != nil: // count a transient copy rather than sort the map
+			ts = make([]Triple, 0, len(r.set))
+			for t := range r.set {
+				ts = append(ts, t)
+			}
+		default: // source-backed
+			ts = r.sortedLocked()
 		}
-	} else {
-		for t := range r.set {
-			count(t)
+		st := statsOf(ts)
+		r.stats = &st
+	}
+	return *r.stats
+}
+
+// statsOf computes the statistics of the duplicate-free triples ts
+// without hashing. IDs are dictionary positions, so each position counts
+// into a dense array indexed by ID in the same pass over ts. A position
+// whose largest ID is sparse relative to |ts| — a 10-triple relation in a
+// million-object store — sorts a copy of its column and counts runs
+// instead, so the arrays never outgrow a small multiple of the relation.
+func statsOf(ts []Triple) RelStats {
+	st := RelStats{Triples: len(ts)}
+	var maxID Triple
+	for _, t := range ts {
+		for c, id := range t {
+			maxID[c] = max(maxID[c], id)
 		}
 	}
-	st := RelStats{
-		Triples:  n,
-		Distinct: [3]int{len(counts[0]), len(counts[1]), len(counts[2])},
+	var counts [3][]int32
+	for c := range counts {
+		if int(maxID[c]) < 8*len(ts)+1024 {
+			counts[c] = make([]int32, maxID[c]+1)
+		}
 	}
-	for i, c := range counts {
-		for _, n := range c {
-			if n > st.MaxMatch[i] {
-				st.MaxMatch[i] = n
+	for _, t := range ts {
+		for c, n := range counts {
+			if n != nil {
+				n[t[c]]++
 			}
 		}
 	}
-	r.stats = &st
+	for c, n := range counts {
+		if n == nil {
+			st.Distinct[c], st.MaxMatch[c] = columnCounts(ts, c)
+			continue
+		}
+		for _, k := range n {
+			if k > 0 {
+				st.Distinct[c]++
+				st.MaxMatch[c] = max(st.MaxMatch[c], int(k))
+			}
+		}
+	}
 	return st
+}
+
+// columnCounts returns the number of distinct IDs at position c of ts and
+// the length of the longest run of one ID, from a sorted copy.
+func columnCounts(ts []Triple, c int) (distinct, maxRun int) {
+	col := make([]ID, len(ts))
+	for i, t := range ts {
+		col[i] = t[c]
+	}
+	slices.Sort(col)
+	for i := 0; i < len(col); {
+		j := i + 1
+		for j < len(col) && col[j] == col[i] {
+			j++
+		}
+		distinct++
+		maxRun = max(maxRun, j-i)
+		i = j
+	}
+	return distinct, maxRun
 }
 
 // StoreStats is a snapshot of the statistics of every relation in a
@@ -121,11 +168,13 @@ func (ss StoreStats) Rel(name string) RelStats { return ss.Relations[name] }
 
 // statsCache is the store-level statistics snapshot, guarded by its own
 // mutex so concurrent readers (engines planning queries in parallel)
-// can share one snapshot without racing on the lazy rebuild.
+// can share one snapshot without racing on the lazy rebuild. refreshes
+// is one counter shared by a live store and all its snapshots: queries
+// plan against snapshots, so that is where nearly every rebuild happens.
 type statsCache struct {
 	mu        sync.Mutex
 	snap      *StoreStats
-	refreshes uint64
+	refreshes *atomic.Uint64
 }
 
 // Stats returns a statistics snapshot for the store's current version,
@@ -153,14 +202,12 @@ func (s *Store) Stats() StoreStats {
 		s.mu.RUnlock()
 	}
 	s.statsCache.snap = &snap
-	s.statsCache.refreshes++
+	s.statsCache.refreshes.Add(1)
 	return snap
 }
 
 // StatsRefreshes reports how many times the store-level statistics
-// snapshot has been rebuilt (i.e. how often Stats found its cache stale).
-func (s *Store) StatsRefreshes() uint64 {
-	s.statsCache.mu.Lock()
-	defer s.statsCache.mu.Unlock()
-	return s.statsCache.refreshes
-}
+// snapshot has been rebuilt (i.e. how often Stats found its cache stale),
+// on this store and on every snapshot of it: a live store and its
+// snapshots share the counter.
+func (s *Store) StatsRefreshes() uint64 { return s.statsCache.refreshes.Load() }

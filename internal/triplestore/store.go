@@ -29,11 +29,18 @@ import (
 // writes — the store mutates live relations in place; take the relation
 // from a Snapshot instead.
 //
+// Copy-on-write is by merge; private relations mutate in place. A write
+// to a relation a snapshot holds leaves that relation untouched and
+// installs a new run-backed one, built by merging the write's net delta
+// into the old relation's sorted runs (Relation.withDelta): one copy of
+// the runs per batch, no hashing, every cached index carried over. A
+// relation no snapshot holds — a store being built, ingest, WAL replay —
+// is mutated in place, with no per-op bookkeeping.
+//
 // Mutating a Relation obtained from the store directly bypasses the
-// version counter and the copy-on-write machinery; it is only sound
-// while the store is provably private (e.g. single-threaded loading
-// before the store is shared), and remains outside the concurrent
-// contract.
+// version counter and copy-on-write; it is only sound while the store is
+// provably private (e.g. single-threaded loading before the store is
+// shared), and remains outside the concurrent contract.
 type Store struct {
 	dict    *Dict
 	version atomic.Uint64
@@ -61,7 +68,9 @@ type Store struct {
 
 // NewStore returns an empty triplestore.
 func NewStore() *Store {
-	return &Store{dict: NewDict(), rels: make(map[string]*Relation)}
+	s := &Store{dict: NewDict(), rels: make(map[string]*Relation)}
+	s.statsCache.refreshes = new(atomic.Uint64)
+	return s
 }
 
 // ensureMutable panics when s is a read-only Snapshot view.
@@ -179,9 +188,10 @@ func (s *Store) Value(id ID) Value {
 // SameValue reports whether ρ(a) = ρ(b), i.e. the relation ∼ of §4.
 func (s *Store) SameValue(a, b ID) bool { return s.Value(a).Equal(s.Value(b)) }
 
-// mutableRelLocked returns the named relation ready for mutation,
-// creating it if absent and cloning it first (copy-on-write) when it is
-// frozen into a snapshot. Callers hold s.mu and bump the version.
+// mutableRelLocked returns the named relation, which no snapshot holds,
+// ready for in-place mutation, creating it if absent. Callers hold s.mu
+// and bump the version; writes to a frozen relation go through
+// mergeRelLocked instead.
 func (s *Store) mutableRelLocked(name string) *Relation {
 	r, ok := s.rels[name]
 	if !ok {
@@ -189,10 +199,6 @@ func (s *Store) mutableRelLocked(name string) *Relation {
 		s.rels[name] = r
 		s.relNames = append(s.relNames, name)
 		return r
-	}
-	if r.frozen {
-		r = r.Clone()
-		s.rels[name] = r
 	}
 	// A store-mediated write is about to materialize a source-backed
 	// relation (ensureSet); promote it in the residency accounting first
@@ -203,21 +209,53 @@ func (s *Store) mutableRelLocked(name string) *Relation {
 	return r
 }
 
+// mergeRelLocked replaces the frozen relation r, stored under name, by
+// r plus adds minus dels (see Relation.withDelta): copy-on-write by
+// merge. Like mutableRelLocked it first promotes a source-backed r, whose
+// content the new relation is about to hold on the heap. Callers hold
+// s.mu and bump the version.
+func (s *Store) mergeRelLocked(name string, r *Relation, adds, dels []Triple) *Relation {
+	r.forceResident()
+	m := r.withDelta(adds, dels)
+	s.rels[name] = m
+	return m
+}
+
+// addLocked inserts t, which the named relation does not hold; removeLocked
+// deletes t, which it does. Callers hold s.mu and bump the version.
+func (s *Store) addLocked(name string, t Triple) {
+	if r := s.rels[name]; r != nil && r.frozen {
+		s.mergeRelLocked(name, r, []Triple{t}, nil)
+		return
+	}
+	s.mutableRelLocked(name).Add(t)
+}
+
+func (s *Store) removeLocked(name string, t Triple) {
+	if r := s.rels[name]; r.frozen {
+		s.mergeRelLocked(name, r, nil, []Triple{t})
+		return
+	}
+	s.mutableRelLocked(name).Remove(t)
+}
+
 // EnsureRelation returns the relation with the given name, creating an
-// empty one if it does not exist. The returned relation is mutable (a
-// copy-on-write clone if the stored one was frozen by a snapshot), but
-// mutating it directly bypasses the version counter — see the type
-// documentation.
+// empty one if it does not exist. The returned relation is mutable (if
+// the stored one was frozen by a snapshot, a new relation sharing its
+// runs replaces it), but mutating it directly bypasses the version
+// counter — see the type documentation.
 func (s *Store) EnsureRelation(name string) *Relation {
 	s.ensureMutable()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, existed := s.rels[name]
-	r := s.mutableRelLocked(name)
-	if !existed {
+	r, existed := s.rels[name]
+	switch {
+	case !existed:
 		s.bumpVersion()
+	case r.frozen:
+		return s.mergeRelLocked(name, r, nil, nil)
 	}
-	return r
+	return s.mutableRelLocked(name)
 }
 
 // Relation returns the relation with the given name, or nil. On a live
@@ -256,12 +294,14 @@ func (s *Store) Add(rel, subj, pred, obj string) Triple {
 	pi, new2 := s.internLocked(pred)
 	oi, new3 := s.internLocked(obj)
 	t := Triple{si, pi, oi}
-	if hadRel && !new1 && !new2 && !new3 && r.Has(t) {
+	present := hadRel && r.Has(t)
+	if present && !new1 && !new2 && !new3 {
 		// Pure no-op: don't version-bump, and in particular don't
 		// copy-on-write a snapshot-frozen relation just to re-insert.
 		return t
 	}
-	if s.mutableRelLocked(rel).Add(t) {
+	if !present {
+		s.addLocked(rel, t)
 		s.adds.Add(1)
 	}
 	s.bumpVersion()
@@ -277,9 +317,8 @@ func (s *Store) AddTriple(rel string, t Triple) {
 	if r, ok := s.rels[rel]; ok && r.Has(t) {
 		return // no-op: no version bump, no copy-on-write
 	}
-	if s.mutableRelLocked(rel).Add(t) {
-		s.adds.Add(1)
-	}
+	s.addLocked(rel, t)
+	s.adds.Add(1)
 	s.bumpVersion()
 }
 
@@ -294,7 +333,7 @@ func (s *Store) RemoveTriple(rel string, t Triple) bool {
 	if !ok || !r.Has(t) {
 		return false
 	}
-	s.mutableRelLocked(rel).Remove(t)
+	s.removeLocked(rel, t)
 	s.removes.Add(1)
 	s.bumpVersion()
 	return true
@@ -315,8 +354,8 @@ func (s *Store) Remove(rel, subj, pred, obj string) bool {
 // version: a copy-on-write Store sharing the dictionary (append-only and
 // internally synchronized), the data-value assignment and every relation
 // with the live store. The snapshot never changes — subsequent writes to
-// the live store clone any shared relation (and the shared value prefix)
-// before mutating — so engines and statistics keyed on the snapshot's
+// the live store replace a shared relation by a merged copy and copy the
+// shared value prefix before writing it — so engines and statistics keyed on the snapshot's
 // version can evaluate lock-free while ingest proceeds. Snapshotting a
 // snapshot returns the receiver. Mutating a snapshot panics.
 func (s *Store) Snapshot() *Store {
@@ -332,6 +371,7 @@ func (s *Store) Snapshot() *Store {
 		rels:    make(map[string]*Relation, len(s.rels)),
 		values:  s.values[:len(s.values):len(s.values)],
 	}
+	snap.statsCache.refreshes = s.statsCache.refreshes
 	snap.relNames = append(snap.relNames, s.relNames...)
 	for name, r := range s.rels {
 		r.frozen = true
