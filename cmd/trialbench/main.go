@@ -8,22 +8,12 @@
 //	trialbench                  # all fast (witness) experiments
 //	trialbench -all             # everything, including the perf sweeps
 //	trialbench -exp E4,E12      # a specific subset
-//	trialbench -json            # write BENCH_engine.json (includes the
-//	                            # sharded flat-vs-partitioned workloads
-//	                            # at -shards shards)
+//	trialbench -json            # write BENCH_engine.json
 //	trialbench -json -out - -min-speedup 1.2
 //	                            # JSON to stdout; exit 1 if any gated
 //	                            # reachability workload is below 1.2x
-//	trialbench -json -shards 8 -min-sharded-speedup 1.2
-//	                            # also fail if the partition-parallel
-//	                            # engine's gain over the flat engine on
-//	                            # the gated star workloads is below 1.2x.
-//	                            # At GOMAXPROCS=1 the sharded rows are
-//	                            # cross-checked but skip-and-annotated
-//	                            # (no cores for the shards to use), so
-//	                            # they never feed a gate there; rows
-//	                            # that declare gate_min_procs only gate
-//	                            # on legs with at least that many cores.
+//	                            # (rows that declare gate_min_procs only
+//	                            # gate on legs with that many cores)
 //	trialbench -json -scale     # include the scale-tier workloads:
 //	                            # triangle-count (leapfrog triejoin vs
 //	                            # the binary hash-join cascade, gated at
@@ -51,7 +41,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/triplestore"
 )
 
 func main() {
@@ -62,8 +51,6 @@ func main() {
 		jsonBench  = flag.Bool("json", false, "run the engine-vs-evaluator benchmarks and write them as JSON")
 		out        = flag.String("out", "BENCH_engine.json", "with -json: output path ('-' for stdout)")
 		minSpeedup = flag.Float64("min-speedup", 0, "with -json: fail unless every gated (reachability) workload reaches this engine speedup")
-		shards     = flag.Int("shards", triplestore.DefaultShards, "with -json: shard count for the flat-vs-sharded workloads (<= 1 skips them)")
-		minSharded = flag.Float64("min-sharded-speedup", 0, "with -json: fail unless every gated sharded star workload reaches this speedup over the flat engine (skipped rows and gate_min_procs rows exempt per leg)")
 		scale      = flag.Bool("scale", false, "with -json: include the scale-tier workloads (triangle-count, social-join-1M) — minutes, not seconds")
 		procs      = flag.Int("procs", 0, "if > 0, set GOMAXPROCS to this before measuring (the CI bench matrix's 1/4/all legs)")
 		trace      = flag.Bool("trace", false, "with -json: dump the execution span tree of every workload below 1.0x speedup (where the time went)")
@@ -74,7 +61,7 @@ func main() {
 	}
 	var err error
 	if *jsonBench {
-		err = runJSON(*out, *minSpeedup, *shards, *minSharded, *scale, *trace)
+		err = runJSON(*out, *minSpeedup, *scale, *trace)
 	} else {
 		err = run(*exp, *all, *format)
 	}
@@ -86,8 +73,8 @@ func main() {
 
 // runJSON measures the benchmark workloads, writes the report, and
 // enforces the regression gates via BenchReport.GateFailures.
-func runJSON(out string, minSpeedup float64, shards int, minSharded float64, scale, trace bool) error {
-	rep, err := experiments.RunBench(experiments.BenchOptions{Shards: shards, Scale: scale})
+func runJSON(out string, minSpeedup float64, scale, trace bool) error {
+	rep, err := experiments.RunBench(experiments.BenchOptions{Scale: scale})
 	if err != nil {
 		return err
 	}
@@ -114,14 +101,6 @@ func runJSON(out string, minSpeedup float64, shards int, minSharded float64, sca
 		vs := ""
 		if b.Baseline != "" {
 			vs = " vs " + b.Baseline
-			if b.Shards > 0 {
-				vs = fmt.Sprintf("%s @%d shards", vs, b.Shards)
-			}
-		}
-		if b.Skipped != "" {
-			fmt.Fprintf(os.Stderr, "%-20s %-10s lang=%-8s %8d triples -> %8d  SKIPPED (%s)%s%s\n",
-				b.Name, b.Family, b.Lang, b.Triples, b.ResultSize, b.Skipped, gate, vs)
-			continue
 		}
 		fmt.Fprintf(os.Stderr, "%-20s %-10s lang=%-8s %8d triples -> %8d  speedup %.2fx%s%s\n",
 			b.Name, b.Family, b.Lang, b.Triples, b.ResultSize, b.Speedup, gate, vs)
@@ -136,7 +115,7 @@ func runJSON(out string, minSpeedup float64, shards int, minSharded float64, sca
 			}
 		}
 	}
-	if fails := rep.GateFailures(minSpeedup, minSharded); len(fails) > 0 {
+	if fails := rep.GateFailures(minSpeedup); len(fails) > 0 {
 		for _, f := range fails {
 			fmt.Fprintln(os.Stderr, "gate failure:", f)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 )
 
@@ -28,7 +27,7 @@ func TestRunBadFormat(t *testing.T) {
 
 func TestRunJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	if err := runJSON(path, 0, 4, 0, false, true); err != nil {
+	if err := runJSON(path, 0, false, true); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -41,8 +40,6 @@ func TestRunJSON(t *testing.T) {
 			Name       string             `json:"name"`
 			Family     string             `json:"family"`
 			Speedup    float64            `json:"speedup"`
-			Shards     int                `json:"shards"`
-			Skipped    string             `json:"skipped"`
 			OperatorMs map[string]float64 `json:"operator_ms"`
 		} `json:"workloads"`
 	}
@@ -52,45 +49,16 @@ func TestRunJSON(t *testing.T) {
 	if rep.GoVersion == "" || len(rep.Workloads) == 0 {
 		t.Errorf("report incomplete: %+v", rep)
 	}
-	sharded := 0
 	for _, w := range rep.Workloads {
-		if w.Family == "sharded" {
-			sharded++
-			if w.Shards != 4 {
-				t.Errorf("%s: shards = %d, want 4", w.Name, w.Shards)
-			}
-			if runtime.GOMAXPROCS(0) <= 1 && w.Skipped == "" {
-				t.Errorf("%s: sharded row not annotated as skipped at GOMAXPROCS=1", w.Name)
-			}
-		}
-		// Skipped rows are cross-checked, not executed with tracing, so
-		// only timed rows must carry the per-operator breakdown.
-		if w.Skipped == "" && len(w.OperatorMs) == 0 {
+		if len(w.OperatorMs) == 0 {
 			t.Errorf("%s: no operator_ms breakdown", w.Name)
 		}
-	}
-	if sharded == 0 {
-		t.Error("report has no sharded flat-vs-partitioned workloads")
 	}
 }
 
 func TestRunJSONGate(t *testing.T) {
 	// An absurd threshold must trip the regression gate.
-	if err := runJSON(filepath.Join(t.TempDir(), "b.json"), 1e9, 1, 0, false, false); err == nil {
+	if err := runJSON(filepath.Join(t.TempDir(), "b.json"), 1e9, false, false); err == nil {
 		t.Error("min-speedup 1e9 should fail the gate")
-	}
-}
-
-func TestRunJSONShardedGate(t *testing.T) {
-	// An impossible sharded threshold must trip the gate on multi-core
-	// hosts; a single-core host skip-and-annotates the sharded rows (no
-	// cores for the shards to use), so no sharded gate can fire there.
-	err := runJSON(filepath.Join(t.TempDir(), "c.json"), 0, 2, 1e9, false, false)
-	if runtime.GOMAXPROCS(0) <= 1 {
-		if err != nil {
-			t.Fatalf("single-core host must skip the sharded gate, got: %v", err)
-		}
-	} else if err == nil {
-		t.Error("min-sharded-speedup 1e9 should fail the gate on a multi-core host")
 	}
 }

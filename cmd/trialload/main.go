@@ -8,7 +8,7 @@
 // Usage:
 //
 //	trialload                              # defaults: grid(48), 8 clients
-//	trialload -fixture grid -n 64 -shards 4 -clients 16 -requests 100
+//	trialload -fixture grid -n 64 -clients 16 -requests 100
 //	trialload -out - | jq .qps             # JSON to stdout
 //	trialload -max-p99-ms 500              # exit 1 if query p99 exceeds 500ms
 //	trialload -baseline BENCH_server.json -max-p99-regress 3
@@ -42,7 +42,6 @@ func main() {
 		fixture = flag.String("fixture", "grid", "store: transport, social, chain, cycle, grid")
 		n       = flag.Int("n", 48, "size parameter for generated stores (chain length, grid side)")
 		rel     = flag.String("rel", "E", "edge relation name")
-		shards  = flag.Int("shards", 1, "hash-partition the store into this many shards (1 = flat)")
 		workers = flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
 
 		clients  = flag.Int("clients", 8, "concurrent clients")
@@ -62,7 +61,7 @@ func main() {
 		maxRegress = flag.Float64("max-p99-regress", 0, "with -baseline: fail if query p99 exceeds baseline p99 times this factor (0 disables)")
 	)
 	flag.Parse()
-	if err := run(*fixture, *n, *rel, *shards, *workers, *clients, *requests, *ingestEv,
+	if err := run(*fixture, *n, *rel, *workers, *clients, *requests, *ingestEv,
 		*batch, *limit, *queries, *cancelQ, *cancelMs, *reqCancel,
 		*out, *maxP99, *baseline, *maxRegress); err != nil {
 		fmt.Fprintln(os.Stderr, "trialload:", err)
@@ -89,14 +88,14 @@ func buildStore(fixture string, n int) (*triplestore.Store, error) {
 	return nil, fmt.Errorf("unknown -fixture %q", fixture)
 }
 
-func run(fixture string, n int, rel string, shards, workers, clients, requests, ingestEv,
+func run(fixture string, n int, rel string, workers, clients, requests, ingestEv,
 	batch, limit int, queries, cancelQ string, cancelMs int, reqCancel bool,
 	out string, maxP99 float64, baseline string, maxRegress float64) error {
 	store, err := buildStore(fixture, n)
 	if err != nil {
 		return err
 	}
-	opts := []serve.Option{serve.WithRelation(rel), serve.WithShards(shards)}
+	opts := []serve.Option{serve.WithRelation(rel)}
 	if workers > 0 {
 		opts = append(opts, serve.WithWorkers(workers))
 	}
@@ -114,8 +113,8 @@ func run(fixture string, n int, rel string, shards, workers, clients, requests, 
 	if queries != "" {
 		cfg.Queries = strings.Split(queries, ";")
 	}
-	fmt.Fprintf(os.Stderr, "trialload: %s(%d), %d shards, %d clients x %d requests\n",
-		fixture, n, shards, clients, requests)
+	fmt.Fprintf(os.Stderr, "trialload: %s(%d), %d clients x %d requests\n",
+		fixture, n, clients, requests)
 	rep, err := experiments.RunServerLoad(srv, cfg)
 	if err != nil {
 		return err

@@ -11,9 +11,7 @@
 // The store is loaded at startup and mutable at runtime: /v1/triples
 // ingests (and deletes) triples in batches, each batch advancing the
 // store version once, while in-flight queries keep reading their own
-// immutable snapshot. With -shards=N the store is hash-partitioned by
-// subject into N shards and queries run on the partition-parallel
-// engine.
+// immutable snapshot.
 //
 // With -data-dir the store is durable: mutations are written to a
 // write-ahead log before they are acknowledged, the memtable is flushed
@@ -26,7 +24,7 @@
 //
 //	trialserver -data triples.txt -addr :8080
 //	trialserver -fixture transport -tokens "s3cret:admin,scraper:read"
-//	trialserver -fixture grid -n 50 -shards 8 -rate-qps 100 -query-timeout 30s
+//	trialserver -fixture grid -n 50 -rate-qps 100 -query-timeout 30s
 //	trialserver -data-dir /var/lib/trial -fixture social   # seed once
 //	trialserver -data-dir /var/lib/trial                   # reopen
 //
@@ -66,7 +64,6 @@ func main() {
 		n       = flag.Int("n", 32, "size parameter for generated fixtures (chain length, grid side)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for parallel operators")
 		cache   = flag.Int("cache", query.DefaultCacheSize, "plan-cache capacity (compiled plans kept; 0 disables)")
-		shards  = flag.Int("shards", 1, "hash-partition the store by subject into this many shards and execute partition-parallel (1 = flat store)")
 
 		dataDir    = flag.String("data-dir", "", "durable storage directory (WAL + segments); a fresh dir may be seeded from -data or -fixture, an existing one must be opened alone")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per batch) or none (page cache only)")
@@ -85,26 +82,20 @@ func main() {
 	)
 	flag.Parse()
 	var (
-		store *triplestore.Store
-		eng   storage.Engine
-		desc  string
-		err   error
+		eng  storage.Engine
+		desc string
+		err  error
 	)
 	if *dataDir != "" {
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "trialserver: -data-dir is incompatible with -shards > 1 (the partition copies would bypass the WAL)")
-			os.Exit(1)
-		}
 		eng, desc, err = openDataDir(*dataDir, *walSync, *data, *rel, *fixture, *n, *readBudget)
-		if err == nil {
-			store = eng.Store()
-		}
 	} else {
 		if *readBudget >= 0 {
 			fmt.Fprintln(os.Stderr, "trialserver: -read-budget requires -data-dir (an in-memory store has no segments to read from)")
 			os.Exit(1)
 		}
+		var store *triplestore.Store
 		store, desc, err = buildStore(*data, *rel, *fixture, *n)
+		eng = storage.NewMem(store)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trialserver:", err)
@@ -115,27 +106,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "trialserver: -tokens:", err)
 		os.Exit(1)
 	}
-	srvOpts := []serve.Option{
+	srv := serve.NewStorage(eng,
 		serve.WithWorkers(*workers),
 		serve.WithRelation(*rel),
 		serve.WithCacheSize(*cache),
-		serve.WithShards(*shards),
 		serve.WithSlowLog(*slowCap, time.Duration(*slowMs)*time.Millisecond),
 		serve.WithPprof(*pprofOn),
 		serve.WithAuthTokens(auth),
 		serve.WithRateLimit(*rateQPS, *rateBurst),
 		serve.WithQueryTimeout(*qTimeout),
 		serve.WithMaxResults(*maxResults),
-	}
-	if eng != nil {
-		srvOpts = append(srvOpts, serve.WithStorageEngine(eng))
-	}
-	srv := serve.New(store, srvOpts...)
-	if ss := srv.Sharded(); ss != nil {
-		desc = fmt.Sprintf("%s, %d shards", desc, ss.NumShards())
-	}
+	)
 	log.Printf("trialserver: serving %s (%d objects, %d triples) on %s",
-		desc, store.NumObjects(), store.Size(), *addr)
+		desc, eng.Store().NumObjects(), eng.Store().Size(), *addr)
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections and
 	// drain in-flight requests (bounded by -drain) before exiting, so a

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/genstore"
 	"repro/internal/trial"
-	"repro/internal/triplestore"
 )
 
 // cancelQueries covers the operator families with distinct cancellation
@@ -24,21 +23,16 @@ func cancelQueries() map[string]trial.Expr {
 }
 
 // TestEvalContextPreCancelled: a context that is already cancelled must
-// surface context.Canceled from every operator family, on both the flat
-// and the sharded engine, without evaluating anything.
+// surface context.Canceled from every operator family without evaluating
+// anything.
 func TestEvalContextPreCancelled(t *testing.T) {
 	s := genstore.Grid(24, 24)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	engines := map[string]*Engine{
-		"flat":    New(s),
-		"sharded": NewSharded(triplestore.Shard(s, 4)),
-	}
-	for ename, e := range engines {
-		for qname, q := range cancelQueries() {
-			if _, err := e.EvalContext(ctx, q); !errors.Is(err, context.Canceled) {
-				t.Errorf("%s/%s: EvalContext(cancelled) err = %v, want context.Canceled", ename, qname, err)
-			}
+	e := New(s)
+	for qname, q := range cancelQueries() {
+		if _, err := e.EvalContext(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: EvalContext(cancelled) err = %v, want context.Canceled", qname, err)
 		}
 	}
 }
@@ -87,14 +81,15 @@ func TestExecContextPrepared(t *testing.T) {
 }
 
 // TestCancelDuringShardedStar races cancellation against an in-flight
-// partition-parallel star fixpoint: many goroutines evaluate while the
-// context is cancelled mid-run. Run under -race this pins that the
-// shard-task and round-boundary cancellation points are data-race free;
-// each evaluation must either complete with the correct fixpoint or
-// return the context's error — never a partial relation.
+// star fixpoint on a four-worker engine: many goroutines evaluate while
+// the context is cancelled mid-run. Run under -race this pins that the
+// worker-chunk and round-boundary cancellation points are data-race
+// free; each evaluation must either complete with the correct fixpoint
+// or return the context's error — never a partial relation. (The name
+// dates from the partition-parallel executor; the worker pool replaced
+// it as the engine's parallel path.)
 func TestCancelDuringShardedStar(t *testing.T) {
-	s := genstore.Grid(32, 32)
-	e := NewSharded(triplestore.Shard(s, 4), WithWorkers(4))
+	e := New(genstore.Grid(32, 32), WithWorkers(4))
 	q := trial.QueryQ(genstore.RelE)
 	want, err := e.Eval(q)
 	if err != nil {

@@ -29,14 +29,10 @@
 //     invariant positions are hoisted into the fixpoint as seed filters,
 //     so the recursion starts from less.
 //
-// NewSharded builds the engine over a triplestore.ShardedStore and
-// executes partition-parallel (sharded.go): index joins probing the
-// shard key (the subject) route each probe to its owning shard's index,
-// other indexed joins broadcast-probe every shard's partition, and
-// semi-naive star rounds run one probe task per shard — sound because
-// the algebra is closed under union and the indexed operators
-// distribute over any disjoint partition of a relation. Results are
-// byte-identical to the flat engine (pinned by internal/proptest).
+// Parallelism lives inside operators: probes, filters and merge-key
+// groups fan out over one bounded worker pool (pool.go, WithWorkers;
+// GOMAXPROCS workers by default), so there is one executor and one plan
+// shape however many cores run it.
 //
 // What operators hand each other is a sorted run: an operator appends
 // the triples it derives to a slice, sorts it once, drops adjacent
@@ -46,8 +42,7 @@
 // sort nothing; see the planNode godoc for the contract per operator.
 //
 // Prepare returns a reusable compiled plan carrying the optimizer's
-// rewrite trace; Explain renders the trace and the chosen physical plan
-// (including the sharded access paths).
+// rewrite trace; Explain renders the trace and the chosen physical plan.
 //
 // An engine expects its store view to hold still: build it over a
 // triplestore Snapshot (what internal/query does, so concurrent ingest

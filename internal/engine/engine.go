@@ -27,12 +27,6 @@ type Engine struct {
 	optimize   bool
 	joinPolicy JoinPolicy
 
-	// sharded enables the partition-parallel executor (sharded.go): nil
-	// for a flat engine, otherwise the ShardedStore whose union view is
-	// store. Set by NewSharded, never by option, so a sharded engine can
-	// only be built over a store that actually has partitions.
-	sharded *triplestore.ShardedStore
-
 	mu          sync.Mutex
 	universe    *triplestore.Relation
 	universeVer uint64
@@ -98,26 +92,8 @@ func New(s *triplestore.Store, opts ...Option) *Engine {
 	return e
 }
 
-// NewSharded returns an engine with partition-parallel execution over
-// the given sharded store (its union view serves every operator the
-// partitions cannot: universe, difference, unkeyed joins). The usual
-// contract applies: hand it a ShardedStore.Snapshot(), or a live store
-// that is not mutated while the engine is in use. A single-shard store
-// yields a plain flat engine — there is nothing to partition.
-func NewSharded(ss *triplestore.ShardedStore, opts ...Option) *Engine {
-	e := New(ss.Store, opts...)
-	if ss.NumShards() > 1 {
-		e.sharded = ss
-	}
-	return e
-}
-
 // Store returns the engine's store.
 func (e *Engine) Store() *triplestore.Store { return e.store }
-
-// Sharded returns the sharded store driving the partition-parallel
-// executor, or nil for a flat engine.
-func (e *Engine) Sharded() *triplestore.ShardedStore { return e.sharded }
 
 // Eval computes the relation x(T).
 func (e *Engine) Eval(x trial.Expr) (*triplestore.Relation, error) {
@@ -125,11 +101,11 @@ func (e *Engine) Eval(x trial.Expr) (*triplestore.Relation, error) {
 }
 
 // EvalContext is Eval under a caller-supplied context: the engine polls
-// it at operator boundaries, inside worker chunk loops, at semi-naive
-// star round boundaries and at shard-task pickup, so cancelling the
-// context (client disconnect, deadline) actually frees the worker pool
-// instead of letting the plan run to completion. The error is then
-// ctx.Err() — context.Canceled or context.DeadlineExceeded.
+// it at operator boundaries, inside worker chunk loops and at semi-naive
+// star round boundaries, so cancelling the context (client disconnect,
+// deadline) actually frees the worker pool instead of letting the plan
+// run to completion. The error is then ctx.Err() — context.Canceled or
+// context.DeadlineExceeded.
 func (e *Engine) EvalContext(ctx context.Context, x trial.Expr) (*triplestore.Relation, error) {
 	p, err := e.plan(x)
 	if err != nil {

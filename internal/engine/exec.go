@@ -158,10 +158,6 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	switch n.strategy {
 	case joinIndexRight:
 		probe := n.objKeys[0]
-		if n.shardRels != nil {
-			return ctx.shardedIndexJoin(n.shardRels, probeLeft(),
-				probe[0].Index(), probe[1].Index(), false, n.cc, n.out)
-		}
 		// Build the access path before fanning out: Index mutates the
 		// relation's cache under its own lock, but building once up front
 		// keeps workers contention-free.
@@ -178,10 +174,6 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 		rts := r.Slice()
 		if n.hasRCond {
 			rts = filterSlice(rts, n.rCC)
-		}
-		if n.shardRels != nil {
-			return ctx.shardedIndexJoin(n.shardRels, rts,
-				probe[1].Index(), probe[0].Index(), true, n.cc, n.out)
 		}
 		ix := l.Index(triplestore.PermFor(probe[0].Index()))
 		return ctx.collect(rts, func(rt triplestore.Triple, emit func(triplestore.Triple)) {
@@ -307,9 +299,6 @@ func (n *starNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	seeds := base.Triples()
 	if n.hasSeed {
 		seeds = filterSlice(seeds, n.seedCC)
-	}
-	if n.shardedN > 0 {
-		return n.execShardedStar(ctx, joinBase, seeds)
 	}
 	step := n.stepFunc(ctx, joinBase)
 	fp := newFixpoint(ctx.trace, seeds)

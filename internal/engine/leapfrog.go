@@ -27,7 +27,7 @@ import (
 // provenance and the level's full condition is re-checked. Inequalities,
 // constants and data-value atoms therefore hold exactly as in the binary
 // cascade, and the result is byte-identical to the reference evaluator's
-// (pinned by internal/proptest across flat and sharded routes).
+// (pinned by internal/proptest across every engine route).
 
 // leapfrogIter is a trie-level iterator over an ascending []ID run, with
 // the contract the triejoin needs (and FuzzLeapfrogIterator pins):

@@ -42,10 +42,9 @@ type planNode interface {
 //
 // trace, when non-nil, is the span of the operator currently executing:
 // ctx.run pushes a child span around each node's exec, so operators set
-// attributes (cardinalities, star rounds, per-shard timings) on
-// ctx.trace without knowing their place in the tree. Plan execution
-// recurses on one goroutine, so the push/pop needs no lock; only span
-// methods themselves are called from worker goroutines.
+// attributes (cardinalities, star rounds, merge keys) on ctx.trace
+// without knowing their place in the tree. Plan execution recurses on
+// one goroutine, so the push/pop needs no lock.
 type execCtx struct {
 	e      *Engine
 	ctx    context.Context
@@ -133,9 +132,9 @@ func (p *compiledPlan) execTrace(e *Engine, sp *obs.Span) (*triplestore.Relation
 }
 
 // execContext runs the plan once under the caller's context: operator
-// boundaries, worker chunk loops, semi-naive star rounds and per-shard
-// tasks all poll it, so cancelling reqCtx actually frees the engine's
-// workers mid-plan. A nil reqCtx runs uncancellable.
+// boundaries, worker chunk loops and semi-naive star rounds all poll
+// it, so cancelling reqCtx actually frees the engine's workers
+// mid-plan. A nil reqCtx runs uncancellable.
 func (p *compiledPlan) execContext(e *Engine, reqCtx context.Context, sp *obs.Span) (*triplestore.Relation, error) {
 	if reqCtx == nil {
 		reqCtx = context.Background()
@@ -254,28 +253,7 @@ type joinNode struct {
 	lCC, rCC           trial.CompiledCond
 	hasLCond, hasRCond bool
 
-	// Sharded execution (engines built with NewSharded): the store's
-	// shard partitions of the indexed side, resolved at compile time.
-	// When the probed position is the shard key (subject) the join runs
-	// partition-probe; otherwise it broadcast-probes every shard. The
-	// mode is decided by shardedIndexJoin from the probed position;
-	// indexedProbePos derives it for explain.
-	shardRels []*triplestore.Relation
-
 	rows float64
-}
-
-// indexedProbePos returns the position of the indexed side's triples the
-// join probes on (the component the access path sorts first), or -1 for
-// non-index strategies.
-func (n *joinNode) indexedProbePos() int {
-	switch n.strategy {
-	case joinIndexRight:
-		return n.objKeys[0][1].Index()
-	case joinIndexLeft:
-		return n.objKeys[0][0].Index()
-	}
-	return -1
 }
 
 type starNode struct {
@@ -305,11 +283,6 @@ type starNode struct {
 	baseCond    trial.Cond
 	baseCC      trial.CompiledCond
 	hasBaseCond bool
-
-	// shardedN > 0 marks a partition-parallel semi-naive star (sharded
-	// engines with a probe key only): the per-round delta join runs one
-	// task per shard over shardedN runtime partitions of the base.
-	shardedN int
 
 	rows float64
 }
@@ -501,9 +474,6 @@ func (c *compiler) compileStar(n trial.Star) (*starNode, error) {
 			sn.baseCC = bc.Compile(c.e.store)
 			sn.hasBaseCond = true
 		}
-		if ss := c.e.sharded; ss != nil && len(sn.objKeys) > 0 {
-			sn.shardedN = ss.NumShards()
-		}
 	}
 	return sn, nil
 }
@@ -668,17 +638,6 @@ func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) 
 			}
 		}
 	}
-	// Sharded engines resolve the indexed side's shard partitions now, so
-	// exec can run partition-probe (probe key = shard key) or broadcast-
-	// probe per shard instead of probing one union index.
-	if ss := c.e.sharded; ss != nil {
-		switch jn.strategy {
-		case joinIndexRight:
-			jn.shardRels = ss.ShardRelations(r.(*scanNode).name)
-		case joinIndexLeft:
-			jn.shardRels = ss.ShardRelations(l.(*scanNode).name)
-		}
-	}
 	return jn
 }
 
@@ -735,8 +694,6 @@ func (n *starNode) access() string {
 		return "bfs-reach"
 	case n.reach == trial.ReachSameLabel:
 		return "bfs-reach-same-label"
-	case n.shardedN > 0:
-		return fmt.Sprintf("semi-naive delta-index sharded(%d)", n.shardedN)
 	case len(n.objKeys) > 0:
 		return "semi-naive delta-index"
 	default:
@@ -804,13 +761,6 @@ func (n *joinNode) explain(b *strings.Builder, depth int) {
 	}
 	if n.hasRCond {
 		pre += fmt.Sprintf(" prefilter-right=[%s]", n.rCond.String())
-	}
-	if n.shardRels != nil {
-		mode := "broadcast-probe"
-		if n.indexedProbePos() == 0 {
-			mode = "partition-probe"
-		}
-		pre += fmt.Sprintf(" sharded(%d,%s)", len(n.shardRels), mode)
 	}
 	fmt.Fprintf(b, "join[%s,%s,%s%s] %s%s est=%.0f\n",
 		n.out[0], n.out[1], n.out[2], cond, n.strategy, pre, n.rows)

@@ -97,18 +97,5 @@ func parallelCollect[T any](e *Engine, ctx context.Context, work []T, f func(ite
 		}(i, work[lo:hi])
 	}
 	wg.Wait()
-	return concat(locals)
-}
-
-// concat joins per-worker (or per-shard) emit buffers into one, in order.
-func concat(locals [][]triplestore.Triple) []triplestore.Triple {
-	total := 0
-	for _, l := range locals {
-		total += len(l)
-	}
-	out := make([]triplestore.Triple, 0, total)
-	for _, l := range locals {
-		out = append(out, l...)
-	}
-	return out
+	return slices.Concat(locals...)
 }

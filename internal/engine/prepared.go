@@ -40,9 +40,9 @@ func (p *Prepared) Exec() (*triplestore.Relation, error) {
 }
 
 // ExecContext is Exec under a caller-supplied context: cancellation and
-// deadlines propagate into the operator loops, worker chunks, star
-// rounds and shard tasks (see Engine.EvalContext), so a timed-out or
-// disconnected caller stops burning cores. On cancellation the error is
+// deadlines propagate into the operator loops, worker chunks and star
+// rounds (see Engine.EvalContext), so a timed-out or disconnected
+// caller stops burning cores. On cancellation the error is
 // ctx.Err() and no partial relation is returned.
 func (p *Prepared) ExecContext(ctx context.Context) (*triplestore.Relation, error) {
 	return p.plan.execContext(p.e, ctx, nil)
@@ -51,9 +51,8 @@ func (p *Prepared) ExecContext(ctx context.Context) (*triplestore.Relation, erro
 // ExecTrace computes the relation, recording one child span per
 // physical operator under sp: operator kind (join strategy, star access
 // path), planner estimate vs. actual output cardinality, join input
-// sizes, semi-naive round counts with per-round delta sizes, and
-// per-shard task timings on the partition-parallel paths. A nil sp runs
-// exactly like Exec.
+// sizes and semi-naive round counts with per-round delta sizes. A nil sp
+// runs exactly like Exec.
 func (p *Prepared) ExecTrace(sp *obs.Span) (*triplestore.Relation, error) {
 	return p.plan.execTrace(p.e, sp)
 }

@@ -92,26 +92,24 @@ func TestOperatorResultsAreRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, e := range []*Engine{New(s.Snapshot(), WithWorkers(1)), NewSharded(triplestore.Shard(s, 4).Snapshot(), WithWorkers(1))} {
-			p, err := e.Prepare(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := p.Exec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Len() == 0 {
-				t.Fatalf("%s: empty result proves nothing", name)
-			}
-			exec := testing.AllocsPerRun(5, func() { p.Exec() })
-			sorted := testing.AllocsPerRun(5, func() {
-				r, _ := p.Exec()
-				r.Triples()
-			})
-			if sorted != exec {
-				t.Errorf("%s: Exec allocates %v times, Exec+Triples %v: the result is not a run\n%s", name, exec, sorted, p.Explain())
-			}
+		p, err := New(s.Snapshot(), WithWorkers(1)).Prepare(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := p.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() == 0 {
+			t.Fatalf("%s: empty result proves nothing", name)
+		}
+		exec := testing.AllocsPerRun(5, func() { p.Exec() })
+		sorted := testing.AllocsPerRun(5, func() {
+			r, _ := p.Exec()
+			r.Triples()
+		})
+		if sorted != exec {
+			t.Errorf("%s: Exec allocates %v times, Exec+Triples %v: the result is not a run\n%s", name, exec, sorted, p.Explain())
 		}
 	}
 }
@@ -183,7 +181,7 @@ func (e *Engine) mustPrepare(t *testing.T, x trial.Expr) *Prepared {
 // of Err polls: the engine only ever polls Err, so sweeping the count
 // walks the deadline through every cancellation point of a plan —
 // operator boundaries, the stride polls inside a collect, star round
-// boundaries, shard-task pickups — deterministically.
+// boundaries — deterministically.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
@@ -203,7 +201,7 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestDeadlineAtEveryPoll: wherever the deadline lands — mid-filter,
-// mid-join, mid-star-round, mid-shard-task — the execution returns the
+// mid-join, mid-star-round — the execution returns the
 // context's error and no relation; once the deadline is late enough it
 // returns exactly the uncancelled result. A collect that stopped early
 // must never sort and hand over its partial buffer.
@@ -230,10 +228,8 @@ func TestDeadlineAtEveryPoll(t *testing.T) {
 		"star":       {chain, parse("rstar[1,2,3'; 3=1',1!=3'](E)"), "star:"},
 	} {
 		for ename, e := range map[string]*Engine{
-			"flat/1":    New(tc.store, WithWorkers(1)),
-			"flat/4":    New(tc.store, WithWorkers(4)),
-			"sharded/1": NewSharded(triplestore.Shard(tc.store, 4), WithWorkers(1)),
-			"sharded/4": NewSharded(triplestore.Shard(tc.store, 4), WithWorkers(4)),
+			"flat/1": New(tc.store, WithWorkers(1)),
+			"flat/4": New(tc.store, WithWorkers(4)),
 		} {
 			p := e.mustPrepare(t, tc.x)
 			want, err := p.Exec()

@@ -12,21 +12,28 @@ import (
 	"repro/internal/triplestore"
 )
 
-// shardedVariants returns sharded engines worth covering: several shard
-// counts, parallel and sequential workers, over live stores and
-// snapshots.
-func shardedVariants(s *triplestore.Store) []*Engine {
+// The tests in this file keep the names they had when they covered the
+// partition-parallel executor. That executor is gone — the worker pool
+// is the engine's one parallel path — so each now runs the same cases
+// over the arrangements that replaced it: several worker counts, over
+// the live store and over a frozen Snapshot.
+
+// snapshotVariants returns the engines worth covering: parallel and
+// sequential workers over the live store and over a snapshot, plus a
+// forced leapfrog join policy over the snapshot.
+func snapshotVariants(s *triplestore.Store) []*Engine {
+	snap := s.Snapshot()
 	return []*Engine{
-		NewSharded(triplestore.Shard(s, 2)),
-		NewSharded(triplestore.Shard(s, 4), WithWorkers(1)),
-		NewSharded(triplestore.Shard(s, 7), WithWorkers(4)),
-		NewSharded(triplestore.Shard(s, 16).Snapshot()),
+		New(s, WithWorkers(2)),
+		New(snap, WithWorkers(1)),
+		New(snap, WithWorkers(4)),
+		New(snap, WithJoinPolicy(JoinForceLeapfrog)),
 	}
 }
 
-// TestShardedDifferentialNamedQueries pins every sharded engine variant
-// byte-identical (via the sorted rendering) to the flat engine and the
-// reference Evaluator on the paper's named queries.
+// TestShardedDifferentialNamedQueries pins every variant byte-identical
+// (via the sorted rendering) to the reference Evaluator on the paper's
+// named queries.
 func TestShardedDifferentialNamedQueries(t *testing.T) {
 	queries := []trial.Expr{
 		trial.Example2(fixtures.RelE),
@@ -39,7 +46,7 @@ func TestShardedDifferentialNamedQueries(t *testing.T) {
 	}
 	for name, s := range diffStores() {
 		t.Run(name, func(t *testing.T) {
-			engines := shardedVariants(s)
+			engines := snapshotVariants(s)
 			for _, q := range queries {
 				checkAgainstEvaluator(t, s, q, engines)
 			}
@@ -47,8 +54,8 @@ func TestShardedDifferentialNamedQueries(t *testing.T) {
 	}
 }
 
-// TestShardedDifferentialRandomExprs cross-checks sharded engines on
-// random TriAL* expressions, stars included.
+// TestShardedDifferentialRandomExprs cross-checks the variants on random
+// TriAL* expressions, stars included.
 func TestShardedDifferentialRandomExprs(t *testing.T) {
 	cfg := genstore.ExprOptions{
 		Relations:       []string{genstore.RelE},
@@ -64,7 +71,7 @@ func TestShardedDifferentialRandomExprs(t *testing.T) {
 	}
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
-			engines := shardedVariants(s)
+			engines := snapshotVariants(s)
 			rng := rand.New(rand.NewSource(23))
 			for i := 0; i < 60; i++ {
 				x := genstore.RandomExpr(rng, cfg)
@@ -76,22 +83,22 @@ func TestShardedDifferentialRandomExprs(t *testing.T) {
 	}
 }
 
-// TestShardedJoinModes pins both sharded join paths against the flat
-// engine on a store large enough to populate every shard: a
-// subject-probed join (partition-probe) and a predicate/object-probed
-// join (broadcast-probe).
+// TestShardedJoinModes pins the variants against the default engine on
+// index joins probed on each position, over a store large enough that
+// every probe side has many keys: a subject-probed join, a
+// predicate-probed join, and Example 2's rearranged output.
 func TestShardedJoinModes(t *testing.T) {
 	s := genstore.Random(rand.New(rand.NewSource(31)), 60, 900, 0)
 	queries := map[string]string{
-		// 3=1': the probed side is keyed on its subject — partition-probe.
+		// 3=1': the probed side is keyed on its subject.
 		"partition": "join[1,2,3'; 3=1'](E, E)",
-		// 2=2': probed on the predicate position — broadcast-probe.
+		// 2=2': probed on the predicate position.
 		"broadcast": "join[1,3,3'; 2=2'](E, E)",
 		// 2=1' with output rearrangement (Example 2's shape).
 		"example2": "join[1,3',3; 2=1'](E, E)",
 	}
 	flat := New(s)
-	engines := shardedVariants(s)
+	engines := snapshotVariants(s)
 	for name, src := range queries {
 		t.Run(name, func(t *testing.T) {
 			x, err := trial.Parse(src)
@@ -108,7 +115,7 @@ func TestShardedJoinModes(t *testing.T) {
 					t.Fatal(err)
 				}
 				if gw, gg := s.FormatRelation(want), s.FormatRelation(got); gw != gg {
-					t.Errorf("sharded[%d] diverges from flat on %s (%d vs %d triples)",
+					t.Errorf("variant[%d] diverges from the default engine on %s (%d vs %d triples)",
 						i, src, got.Len(), want.Len())
 				}
 			}
@@ -116,110 +123,81 @@ func TestShardedJoinModes(t *testing.T) {
 	}
 }
 
-// TestShardedExplain asserts the plan rendering names the sharded access
-// paths, so operators can see partitioning from /explain.
+// TestShardedExplain asserts the plan rendering names the access path of
+// subject- and predicate-probed index joins and of the semi-naive star,
+// and that no plan mentions sharding.
 func TestShardedExplain(t *testing.T) {
 	// Every edge gets a distinct predicate, so the predicate-probed index
 	// has fanout 1 and beats the hash join in the cost model.
 	s := genstore.Chain(64, 64)
-	e := NewSharded(triplestore.Shard(s, 4))
+	e := New(s)
 
-	plan, err := e.Explain(trial.MustJoin(trial.R(genstore.RelE),
-		[3]trial.Pos{trial.L1, trial.L2, trial.R3},
-		trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L3), trial.P(trial.R1))}},
-		trial.R(genstore.RelE)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "sharded(4,partition-probe)") {
-		t.Errorf("subject-probed join plan lacks partition-probe marker:\n%s", plan)
-	}
-
-	plan, err = e.Explain(trial.MustJoin(trial.R(genstore.RelE),
-		[3]trial.Pos{trial.L1, trial.L3, trial.R3},
-		trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L2), trial.P(trial.R2))}},
-		trial.R(genstore.RelE)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "sharded(4,broadcast-probe)") {
-		t.Errorf("predicate-probed join plan lacks broadcast-probe marker:\n%s", plan)
-	}
-
-	// A non-reach star (the !=' atom defeats the BFS shape) goes
-	// partition-parallel semi-naive.
-	star, err := trial.Parse("rstar[1,2,3'; 3=1',1!=3'](E)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err = e.Explain(star)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "sharded(4)") {
-		t.Errorf("semi-naive star plan lacks sharded marker:\n%s", plan)
-	}
-
-	// The flat engine renders none of this.
-	plan, err = New(s).Explain(star)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "sharded") {
-		t.Errorf("flat plan mentions sharding:\n%s", plan)
+	for _, c := range []struct {
+		name string
+		x    trial.Expr
+		want string
+	}{
+		{"subject-probed join", trial.MustJoin(trial.R(genstore.RelE),
+			[3]trial.Pos{trial.L1, trial.L2, trial.R3},
+			trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L3), trial.P(trial.R1))}},
+			trial.R(genstore.RelE)), " index-"},
+		{"predicate-probed join", trial.MustJoin(trial.R(genstore.RelE),
+			[3]trial.Pos{trial.L1, trial.L3, trial.R3},
+			trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L2), trial.P(trial.R2))}},
+			trial.R(genstore.RelE)), " index-"},
+		// A non-reach star (the !=' atom defeats the BFS shape) runs the
+		// semi-naive delta fixpoint over an index.
+		{"semi-naive star", trial.MustParse("rstar[1,2,3'; 3=1',1!=3'](E)"), "semi-naive delta-index"},
+	} {
+		plan, err := e.Explain(c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, c.want) {
+			t.Errorf("%s: plan lacks %q:\n%s", c.name, c.want, plan)
+		}
+		if strings.Contains(plan, "sharded") {
+			t.Errorf("%s: plan mentions sharding:\n%s", c.name, plan)
+		}
 	}
 }
 
-// TestShardedSemiNaiveStarLargeChain runs the partition-parallel star on
-// a chain long enough for many delta rounds, against the flat engine.
+// TestShardedSemiNaiveStarLargeChain runs the semi-naive star on a chain
+// long enough for many delta rounds with several worker counts, live and
+// snapshotted, against the sequential engine.
 func TestShardedSemiNaiveStarLargeChain(t *testing.T) {
 	s := genstore.Chain(300, 1)
 	star, err := trial.Parse("rstar[1,2,3'; 3=1',1!=3'](E)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(s).Eval(star)
+	want, err := New(s, WithWorkers(1)).Eval(star)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range []*Engine{
-		NewSharded(triplestore.Shard(s, 4), WithWorkers(4)),
-		NewSharded(triplestore.Shard(s, 8), WithWorkers(2)),
+		New(s, WithWorkers(4)),
+		New(s.Snapshot(), WithWorkers(2)),
 	} {
 		got, err := e.Eval(star)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("sharded star = %d triples, flat = %d", got.Len(), want.Len())
+			t.Errorf("parallel star = %d triples, sequential = %d", got.Len(), want.Len())
 		}
 	}
 }
 
-// TestNewShardedSingleShardIsFlat pins the degenerate case: one shard
-// means nothing to partition, so the engine runs flat.
-func TestNewShardedSingleShardIsFlat(t *testing.T) {
-	s := genstore.Chain(8, 1)
-	e := NewSharded(triplestore.Shard(s, 1))
-	if e.Sharded() != nil {
-		t.Error("single-shard engine kept a sharded executor")
-	}
-	ss := triplestore.Shard(s, 4)
-	if NewSharded(ss).Sharded() != ss {
-		t.Error("multi-shard engine lost its sharded store")
-	}
-}
-
-// TestShardedEvalOnSnapshotDuringIngest evaluates on a sharded snapshot
-// while batches land on the live store (run under -race): results must
-// stay pinned to the snapshot's version.
+// TestShardedEvalOnSnapshotDuringIngest evaluates on a snapshot with a
+// four-worker engine while batches land on the live store (run under
+// -race): results must stay pinned to the snapshot's version.
 func TestShardedEvalOnSnapshotDuringIngest(t *testing.T) {
-	ss := triplestore.NewShardedStore(4)
+	s := triplestore.NewStore()
 	for i := 0; i < 64; i++ {
-		ss.Add("E", fmt.Sprintf("s%d", i), "p", fmt.Sprintf("s%d", i+1))
+		s.Add("E", fmt.Sprintf("s%d", i), "p", fmt.Sprintf("s%d", i+1))
 	}
-	snap := ss.Snapshot()
-	e := NewSharded(snap, WithWorkers(4))
+	e := New(s.Snapshot(), WithWorkers(4))
 	x, err := trial.Parse("join[1,2,3'; 3=1'](E, E)")
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +215,7 @@ func TestShardedEvalOnSnapshotDuringIngest(t *testing.T) {
 			for i := range ops {
 				ops[i] = triplestore.Op{Rel: "E", S: fmt.Sprintf("n%d-%d", b, i), P: "q", O: "t"}
 			}
-			if _, err := ss.ApplyBatch(ops); err != nil {
+			if _, err := s.ApplyBatch(ops); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/genstore"
 	"repro/internal/obs"
 	"repro/internal/trial"
-	"repro/internal/triplestore"
 )
 
 // TestExecTraceOperators: a traced execution must produce one span per
@@ -63,7 +63,7 @@ func TestExecTraceStarRounds(t *testing.T) {
 	s := genstore.Chain(20, 1)
 	e := New(s)
 	// The 1!=3' atom defeats the BFS reach shape, forcing the delta
-	// fixpoint (the same trick the sharded bench workloads use).
+	// fixpoint.
 	x, err := trial.Parse("rstar[1,2,3'; 3=1',1!=3'](E)")
 	if err != nil {
 		t.Fatal(err)
@@ -94,66 +94,47 @@ func TestExecTraceStarRounds(t *testing.T) {
 	}
 }
 
-// TestExecTraceSharded: partition-parallel operators record their mode
-// and per-shard task timings, and stay byte-identical to the flat
-// engine while traced.
+// TestExecTraceSharded: traced runs on a multi-worker engine stay
+// byte-identical to the sequential engine and carry the flat operator
+// labels, with none of the per-shard attributes (shard_us, shard_mode)
+// the removed partition-parallel executor used to record.
 func TestExecTraceSharded(t *testing.T) {
 	s := genstore.Chain(100, 1)
-	ss := triplestore.Shard(s, 4)
-	e := NewSharded(ss)
-	x, err := trial.Parse("rstar[1,2,3'; 3=1',1!=3'](E)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := e.Prepare(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := New(s).Prepare(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := flat.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	root := obs.StartSpan("execute")
-	got, err := p.ExecTrace(root)
-	root.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("traced sharded result (%d) differs from flat (%d)", got.Len(), want.Len())
-	}
-	star := root.Children()[0]
-	if star.Name() != "star:semi-naive delta-index sharded(4)" {
-		t.Fatalf("span = %q (tree:\n%s)", star.Name(), root.Tree())
-	}
-	us, ok := star.Attr("shard_us").([]int64)
-	if !ok || len(us) != 4 {
-		t.Errorf("shard_us attr = %v, want 4 entries", star.Attr("shard_us"))
-	}
-
-	// A sharded index join records its probe mode.
-	j, err := trial.Parse("join[1,2,3'; 3=1'](E, E)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := e.Prepare(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root = obs.StartSpan("execute")
-	if _, err := pj.ExecTrace(root); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	join := root.Children()[0]
-	mode, _ := join.Attr("shard_mode").(string)
-	if mode != "partition-probe" && mode != "broadcast-probe" {
-		t.Errorf("shard_mode = %v (tree:\n%s)", join.Attr("shard_mode"), root.Tree())
+	e := New(s, WithWorkers(4))
+	for _, c := range []struct{ src, span string }{
+		{"rstar[1,2,3'; 3=1',1!=3'](E)", "star:semi-naive delta-index"},
+		{"join[1,2,3'; 3=1'](E, E)", "join:"},
+	} {
+		x, err := trial.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(s, WithWorkers(1)).Eval(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.Prepare(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := obs.StartSpan("execute")
+		got, err := p.ExecTrace(root)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: traced parallel result (%d) differs from sequential (%d)", c.src, got.Len(), want.Len())
+		}
+		op := root.Children()[0]
+		if !strings.HasPrefix(op.Name(), c.span) {
+			t.Errorf("%s: span = %q, want prefix %q (tree:\n%s)", c.src, op.Name(), c.span, root.Tree())
+		}
+		for _, attr := range []string{"shard_us", "shard_mode"} {
+			if v := op.Attr(attr); v != nil {
+				t.Errorf("%s: span carries %s = %v", c.src, attr, v)
+			}
+		}
 	}
 }
 

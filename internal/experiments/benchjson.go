@@ -38,10 +38,9 @@ import (
 
 // BenchResult is one workload's paired measurement. For the classic
 // families the baseline is the reference Evaluator and EvaluatorNs
-// holds its timing; for the "sharded" family the baseline is the FLAT
-// ENGINE, timed in FlatEngineNs (EvaluatorNs stays 0 — every field has
-// one meaning) — Speedup is then the partition-parallel engine's gain
-// over the flat engine at Shards shards.
+// holds its timing; rows with a named Baseline time that opponent in
+// FlatEngineNs instead (EvaluatorNs stays 0 — every field has one
+// meaning).
 type BenchResult struct {
 	Name         string  `json:"name"`
 	Family       string  `json:"family"`
@@ -55,19 +54,13 @@ type BenchResult struct {
 	Speedup      float64 `json:"speedup"`
 	Gated        bool    `json:"gated"`
 	Baseline     string  `json:"baseline,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
-	// Skipped, when non-empty, annotates a workload that was
-	// cross-checked but not timed on this host (e.g. sharded rows at
-	// GOMAXPROCS=1, where partition parallelism has no cores to use).
-	// Skipped rows carry zero timings and are exempt from every gate.
-	Skipped string `json:"skipped,omitempty"`
 	// GateMinProcs restricts the row's gate to report legs with at least
 	// this many GOMAXPROCS: speedups that come from parallel headroom
-	// (sharded stars, the big social join) are only promises on
-	// multi-core hosts, so single-core legs record them without judging.
+	// (the big social join) are only promises on multi-core hosts, so
+	// single-core legs record them without judging.
 	GateMinProcs int `json:"gate_min_procs,omitempty"`
-	// GateMinSpeedup is a per-row gate threshold. 0 means the row uses
-	// the family default passed to GateFailures.
+	// GateMinSpeedup is a per-row gate threshold. 0 means an
+	// evaluator-baseline row uses the default passed to GateFailures.
 	GateMinSpeedup float64 `json:"gate_min_speedup,omitempty"`
 	// OperatorMs is the engine run's exclusive per-operator time
 	// breakdown (milliseconds, from one traced execution after the
@@ -179,69 +172,6 @@ func benchWorkloads() []benchWorkload {
 	}
 }
 
-// shardedWorkload is one flat-engine-vs-sharded-engine measurement: the
-// same TriAL* source executed by engine.New over the store and by
-// engine.NewSharded over a ShardedStore view of it.
-type shardedWorkload struct {
-	name   string
-	source string
-	store  *triplestore.Store
-	desc   string
-	// gated marks the workloads the sharded regression gate
-	// (MinShardedSpeedup, GateFailures) watches: semi-naive stars whose
-	// per-round deltas are too small for the flat engine's chunked
-	// parallelism, so partition-parallel rounds are the only way to use
-	// the cores. At GOMAXPROCS=1 sharded rows are skip-and-annotated
-	// rather than timed, so no sharded gate can hinge on a single-core
-	// leg.
-	gated bool
-	// gateMinProcs / gateMinSpeedup: per-row gate overrides (see
-	// BenchResult). A row whose win needs a minimum core count declares
-	// it here and single-core legs record it without judging.
-	gateMinProcs   int
-	gateMinSpeedup float64
-}
-
-// shardedWorkloads are sharded variants of the chain/grid/social
-// workloads. The star sources carry a 1≠3′ atom: it does not change the
-// result on these acyclic stores but defeats the BFS reach shape, so
-// both engines run the semi-naive delta fixpoint — the path partitioning
-// parallelizes.
-func shardedWorkloads() []shardedWorkload {
-	rng := rand.New(rand.NewSource(9))
-	return []shardedWorkload{
-		{
-			// Per-round deltas stay below the flat engine's 2048-triple
-			// parallel-chunking threshold for the whole fixpoint, so the
-			// flat engine runs its ~500 rounds sequentially on any host
-			// while the sharded engine runs each round as one probe task
-			// per shard — the contrast the gate measures. Sized so the
-			// whole sweep stays a few seconds: these workloads also run
-			// inside ordinary `go test ./...` (and its race job).
-			name:   "sharded-chain-star",
-			source: "rstar[1,2,3'; 3=1',1!=3'](E)",
-			store:  genstore.Chain(500, 1), desc: "chain(500)",
-			gated: true,
-		},
-		{
-			// Reported, not gated: per-round work is small enough that the
-			// routing overhead eats the win on low-core hosts.
-			name:   "sharded-grid-star",
-			source: "rstar[1,2,3'; 3=1',2=2',1!=3'](E)",
-			store:  genstore.Grid(26, 26), desc: "grid(26x26)",
-		},
-		{
-			// Gated on legs with at least 4 cores: the join's probe fan-out
-			// parallelizes across shards, but the win is parallel headroom,
-			// so a 1-or-2-core leg records the row without judging it.
-			name:   "sharded-social-join",
-			source: "join[1,2,3'; 3=1'](E, E)",
-			store:  genstore.Social(rng, 800, 12000, 4, 8), desc: "social(800,12000)",
-			gated: true, gateMinProcs: 4, gateMinSpeedup: 1.0,
-		},
-	}
-}
-
 // scaleWorkload is one scale-tier measurement: a store in the
 // hundreds-of-thousands-to-millions range built through the NDJSON bulk
 // ingest path, with the engine timed against either the reference
@@ -285,27 +215,15 @@ func scaleWorkloads() []scaleWorkload {
 
 // BenchOptions configures RunBench.
 type BenchOptions struct {
-	// Shards > 1 adds the flat-vs-sharded family at that shard count.
-	Shards int
 	// Scale adds the scale-tier workloads (triangle-count, social-join-1M):
 	// stores up to a million triples, so minutes rather than seconds.
 	Scale bool
 }
 
-// RunBenchJSON measures the classic workloads — the evaluator-vs-engine
-// families plus, when shards > 1, the flat-vs-sharded family — without
-// the scale tier. It is RunBench(BenchOptions{Shards: shards}).
-func RunBenchJSON(shards int) (*BenchReport, error) {
-	return RunBench(BenchOptions{Shards: shards})
-}
-
 // RunBench measures every requested workload and returns the report.
 // Timings are best-of-three (timeOp), trading statistical rigor for a
 // bounded CI budget; the regression gates compare ratios, which
-// best-of-N keeps stable. On a single-core host the sharded rows are
-// cross-checked but skip-and-annotated instead of timed: partition
-// parallelism has no cores to use there, so a timing would only record
-// scheduler noise.
+// best-of-N keeps stable.
 func RunBench(opt BenchOptions) (*BenchReport, error) {
 	rep := &BenchReport{
 		GoVersion:  runtime.Version(),
@@ -365,19 +283,6 @@ func RunBench(opt BenchOptions) (*BenchReport, error) {
 			Speedup:     speedup,
 			Gated:       w.gated,
 		}, sp)
-	}
-	if opt.Shards > 1 {
-		skip := ""
-		if rep.GOMAXPROCS <= 1 {
-			skip = "GOMAXPROCS=1: partition parallelism has no cores; cross-checked, not timed"
-		}
-		for _, w := range shardedWorkloads() {
-			res, sp, err := runShardedWorkload(w, opt.Shards, skip)
-			if err != nil {
-				return nil, err
-			}
-			rep.record(res, sp)
-		}
 	}
 	if opt.Scale {
 		for _, w := range scaleWorkloads() {
@@ -655,88 +560,6 @@ func heapAfterGC() uint64 {
 	return ms.HeapAlloc
 }
 
-// runShardedWorkload measures one flat-vs-sharded pair, cross-checking
-// the two engines byte-identically first. The returned span is a traced
-// run of the SHARDED side (the one EngineNs times). A non-empty skip
-// keeps the cross-check but annotates the row instead of timing it.
-func runShardedWorkload(w shardedWorkload, shards int, skip string) (BenchResult, *obs.Span, error) {
-	x, err := trial.Parse(w.source)
-	if err != nil {
-		return BenchResult{}, nil, fmt.Errorf("%s: parse: %w", w.name, err)
-	}
-	flat, err := engine.New(w.store).Prepare(x)
-	if err != nil {
-		return BenchResult{}, nil, fmt.Errorf("%s: flat prepare: %w", w.name, err)
-	}
-	sharded, err := engine.NewSharded(triplestore.Shard(w.store, shards)).Prepare(x)
-	if err != nil {
-		return BenchResult{}, nil, fmt.Errorf("%s: sharded prepare: %w", w.name, err)
-	}
-	want, err := flat.Exec()
-	if err != nil {
-		return BenchResult{}, nil, fmt.Errorf("%s: flat: %w", w.name, err)
-	}
-	got, err := sharded.Exec()
-	if err != nil {
-		return BenchResult{}, nil, fmt.Errorf("%s: sharded: %w", w.name, err)
-	}
-	if !got.Equal(want) {
-		return BenchResult{}, nil, fmt.Errorf("%s: sharded result (%d triples) differs from flat engine (%d)",
-			w.name, got.Len(), want.Len())
-	}
-	if skip != "" {
-		return BenchResult{
-			Name:           w.name,
-			Family:         "sharded",
-			Lang:           string(query.LangTriAL),
-			Store:          w.desc,
-			Triples:        w.store.Size(),
-			ResultSize:     want.Len(),
-			Gated:          w.gated,
-			Baseline:       "flat-engine",
-			Shards:         shards,
-			Skipped:        skip,
-			GateMinProcs:   w.gateMinProcs,
-			GateMinSpeedup: w.gateMinSpeedup,
-		}, nil, nil
-	}
-	dFlat := timeOp(func() {
-		if _, err := flat.Exec(); err != nil {
-			panic(err)
-		}
-	})
-	dSharded := timeOp(func() {
-		if _, err := sharded.Exec(); err != nil {
-			panic(err)
-		}
-	})
-	speedup := 0.0
-	if dSharded > 0 {
-		speedup = float64(dFlat) / float64(dSharded)
-	}
-	sp := obs.StartSpan("execute")
-	if _, err := sharded.ExecTrace(sp); err != nil {
-		return BenchResult{}, nil, fmt.Errorf("%s: traced run: %w", w.name, err)
-	}
-	sp.End()
-	return BenchResult{
-		Name:           w.name,
-		Family:         "sharded",
-		Lang:           string(query.LangTriAL),
-		Store:          w.desc,
-		Triples:        w.store.Size(),
-		ResultSize:     want.Len(),
-		FlatEngineNs:   dFlat.Nanoseconds(),
-		EngineNs:       dSharded.Nanoseconds(),
-		Speedup:        speedup,
-		Gated:          w.gated,
-		Baseline:       "flat-engine",
-		Shards:         shards,
-		GateMinProcs:   w.gateMinProcs,
-		GateMinSpeedup: w.gateMinSpeedup,
-	}, sp, nil
-}
-
 // runScaleWorkload measures one scale-tier pair. The engine side is the
 // forced-leapfrog planner for the "hash-join" contest (the operators
 // must differ for the row to measure anything) and the auto planner
@@ -826,8 +649,7 @@ func runScaleWorkload(w scaleWorkload) (BenchResult, *obs.Span, error) {
 
 // MinGatedSpeedup returns the smallest speedup among the gated
 // evaluator-baseline (reachability) workloads — the number the CI
-// regression gate compares against its threshold. Sharded-family
-// workloads have their own gate (MinShardedSpeedup).
+// regression gate compares against its threshold.
 func (r *BenchReport) MinGatedSpeedup() float64 {
 	min := 0.0
 	for _, w := range r.Workloads {
@@ -841,49 +663,21 @@ func (r *BenchReport) MinGatedSpeedup() float64 {
 	return min
 }
 
-// MinShardedSpeedup returns the smallest speedup among the gated
-// sharded-family workloads: the partition-parallel engine's gain over
-// the flat engine on the multi-core star workloads. 0 when the report
-// carries no such workload. The gain comes from running star rounds in
-// parallel across shards, so it only materializes with GOMAXPROCS > 1 —
-// single-core callers should report it, not gate on it.
-func (r *BenchReport) MinShardedSpeedup() float64 {
-	min := 0.0
-	for _, w := range r.Workloads {
-		if !w.Gated || w.Family != "sharded" || w.Skipped != "" {
-			continue
-		}
-		if min == 0 || w.Speedup < min {
-			min = w.Speedup
-		}
-	}
-	return min
-}
-
 // GateFailures applies every regression gate to the report and returns
 // one message per violated gate (nil when all pass). minSpeedup is the
-// default threshold for gated evaluator-baseline rows and minSharded for
-// the gated sharded family; a row's GateMinSpeedup overrides its family
-// default. Rows are exempt when Skipped annotates them (not timed on
-// this host) or when their GateMinProcs exceeds the report's GOMAXPROCS —
-// a single-core leg records parallel-headroom rows without judging them.
-func (r *BenchReport) GateFailures(minSpeedup, minSharded float64) []string {
+// default threshold for gated evaluator-baseline rows; a row's
+// GateMinSpeedup overrides it. Rows are exempt when their GateMinProcs
+// exceeds the report's GOMAXPROCS — a single-core leg records
+// parallel-headroom rows without judging them.
+func (r *BenchReport) GateFailures(minSpeedup float64) []string {
 	var fails []string
 	for _, w := range r.Workloads {
-		if !w.Gated || w.Skipped != "" {
-			continue
-		}
-		if w.GateMinProcs > r.GOMAXPROCS {
+		if !w.Gated || w.GateMinProcs > r.GOMAXPROCS {
 			continue
 		}
 		thr := w.GateMinSpeedup
-		if thr == 0 {
-			switch {
-			case w.Family == "sharded":
-				thr = minSharded
-			case w.Baseline == "":
-				thr = minSpeedup
-			}
+		if thr == 0 && w.Baseline == "" {
+			thr = minSpeedup
 		}
 		if thr > 0 && w.Speedup < thr {
 			base := w.Baseline

@@ -10,15 +10,15 @@ import (
 )
 
 // TestRunBenchJSON runs the full harness once: every workload must
-// execute, cross-check engine against evaluator (RunBenchJSON errors on
+// execute, cross-check engine against evaluator (RunBench errors on
 // mismatch), and produce positive timings. Speedups are recorded, not
 // asserted — thresholds are CI policy, not a unit-test invariant.
 func TestRunBenchJSON(t *testing.T) {
-	rep, err := RunBenchJSON(4)
+	rep, err := RunBench(BenchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(benchWorkloads()) + len(shardedWorkloads()); len(rep.Workloads) != want {
+	if want := len(benchWorkloads()); len(rep.Workloads) != want {
 		t.Fatalf("got %d workloads, want %d", len(rep.Workloads), want)
 	}
 	families := map[string]bool{}
@@ -29,55 +29,27 @@ func TestRunBenchJSON(t *testing.T) {
 		langs[w.Lang] = true
 		if w.Gated {
 			gated++
-			if w.Family != "reachability" && w.Family != "sharded" {
-				t.Errorf("%s: gated workload in family %q, want reachability or sharded", w.Name, w.Family)
+			if w.Family != "reachability" {
+				t.Errorf("%s: gated workload in family %q, want reachability", w.Name, w.Family)
 			}
 		}
-		if w.Family == "sharded" {
-			if w.Baseline != "flat-engine" || w.Shards != 4 {
-				t.Errorf("%s: sharded workload metadata %q/%d, want flat-engine/4", w.Name, w.Baseline, w.Shards)
-			}
-			if rep.GOMAXPROCS <= 1 {
-				// Single-core host: the row is cross-checked, annotated, and
-				// carries no timings — it must never feed a gate.
-				if w.Skipped == "" {
-					t.Errorf("%s: sharded row not annotated as skipped at GOMAXPROCS=1", w.Name)
-				}
-				if w.FlatEngineNs != 0 || w.EngineNs != 0 || w.Speedup != 0 {
-					t.Errorf("%s: skipped row carries timings flat=%d engine=%d speedup=%f",
-						w.Name, w.FlatEngineNs, w.EngineNs, w.Speedup)
-				}
-			} else {
-				// Single-meaning fields: sharded rows time the flat engine in
-				// FlatEngineNs and never touch EvaluatorNs.
-				if w.Skipped != "" {
-					t.Errorf("%s: skipped on a multi-core host: %s", w.Name, w.Skipped)
-				}
-				if w.FlatEngineNs <= 0 || w.EvaluatorNs != 0 {
-					t.Errorf("%s: sharded baseline timings flat=%d evaluator=%d", w.Name, w.FlatEngineNs, w.EvaluatorNs)
-				}
-			}
-		} else {
-			if w.Baseline != "" || w.Shards != 0 {
-				t.Errorf("%s: unexpected baseline metadata %q/%d", w.Name, w.Baseline, w.Shards)
-			}
-			if w.EvaluatorNs <= 0 || w.FlatEngineNs != 0 {
-				t.Errorf("%s: baseline timings evaluator=%d flat=%d", w.Name, w.EvaluatorNs, w.FlatEngineNs)
-			}
+		if w.Baseline != "" {
+			t.Errorf("%s: unexpected baseline %q", w.Name, w.Baseline)
 		}
-		if w.Skipped == "" {
-			if w.EngineNs <= 0 {
-				t.Errorf("%s: non-positive engine timing %d", w.Name, w.EngineNs)
-			}
-			if w.Speedup <= 0 {
-				t.Errorf("%s: speedup %f", w.Name, w.Speedup)
-			}
+		if w.EvaluatorNs <= 0 || w.FlatEngineNs != 0 {
+			t.Errorf("%s: baseline timings evaluator=%d flat=%d", w.Name, w.EvaluatorNs, w.FlatEngineNs)
+		}
+		if w.EngineNs <= 0 {
+			t.Errorf("%s: non-positive engine timing %d", w.Name, w.EngineNs)
+		}
+		if w.Speedup <= 0 {
+			t.Errorf("%s: speedup %f", w.Name, w.Speedup)
 		}
 		if w.ResultSize <= 0 {
 			t.Errorf("%s: empty result — the workload measures nothing", w.Name)
 		}
 	}
-	for _, fam := range []string{"reachability", "join", "translated", "sharded"} {
+	for _, fam := range []string{"reachability", "join", "translated"} {
 		if !families[fam] {
 			t.Errorf("no workload in family %q", fam)
 		}
@@ -94,26 +66,6 @@ func TestRunBenchJSON(t *testing.T) {
 	}
 	if min := rep.MinGatedSpeedup(); min <= 0 {
 		t.Errorf("MinGatedSpeedup = %f", min)
-	}
-	if rep.GOMAXPROCS > 1 {
-		if min := rep.MinShardedSpeedup(); min <= 0 {
-			t.Errorf("MinShardedSpeedup = %f", min)
-		}
-	} else if min := rep.MinShardedSpeedup(); min != 0 {
-		// All sharded rows are skipped at GOMAXPROCS=1.
-		t.Errorf("MinShardedSpeedup = %f on a single-core host, want 0", min)
-	}
-
-	// shards <= 1 skips the sharded family entirely.
-	flat, err := RunBenchJSON(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flat.Workloads) != len(benchWorkloads()) {
-		t.Errorf("shards=1 report has %d workloads, want %d", len(flat.Workloads), len(benchWorkloads()))
-	}
-	if flat.MinShardedSpeedup() != 0 {
-		t.Errorf("shards=1 MinShardedSpeedup = %f, want 0", flat.MinShardedSpeedup())
 	}
 
 	var buf bytes.Buffer
@@ -133,42 +85,27 @@ func TestMinGatedSpeedup(t *testing.T) {
 	rep := &BenchReport{Workloads: []BenchResult{
 		{Name: "a", Speedup: 2.0, Gated: true},
 		{Name: "b", Speedup: 1.5, Gated: true},
-		{Name: "c", Speedup: 0.5},                                                          // ungated: ignored
-		{Name: "d", Speedup: 1.1, Gated: true, Family: "sharded", Baseline: "flat-engine"}, // sharded gate only
-		{Name: "e", Speedup: 0.9, Family: "sharded", Baseline: "flat-engine", Shards: 4},   // ungated sharded
-		{Name: "f", Speedup: 1.4, Gated: true, Family: "sharded", Baseline: "flat-engine"}, // sharded gate
-		{Name: "g", Gated: true, Family: "sharded", Baseline: "flat-engine", Skipped: "GOMAXPROCS=1"},
+		{Name: "c", Speedup: 0.5}, // ungated: ignored
+		// A named baseline is not the evaluator: ignored.
 		{Name: "h", Speedup: 0.8, Gated: true, Family: "scale", Baseline: "hash-join", GateMinSpeedup: 1.0},
 	}}
 	if got := rep.MinGatedSpeedup(); got != 1.5 {
 		t.Errorf("MinGatedSpeedup = %f, want 1.5", got)
 	}
-	// Skipped rows and non-sharded families must not drag the sharded
-	// minimum down (g would make it 0, h would make it 0.8).
-	if got := rep.MinShardedSpeedup(); got != 1.1 {
-		t.Errorf("MinShardedSpeedup = %f, want 1.1", got)
-	}
 	if got := (&BenchReport{}).MinGatedSpeedup(); got != 0 {
 		t.Errorf("empty report MinGatedSpeedup = %f, want 0", got)
-	}
-	if got := (&BenchReport{}).MinShardedSpeedup(); got != 0 {
-		t.Errorf("empty report MinShardedSpeedup = %f, want 0", got)
 	}
 }
 
 // TestGateFailures pins the whole gating matrix on a synthetic report:
-// family defaults, per-row threshold overrides, the Skipped exemption,
-// and the GateMinProcs cutoff at both 1 and 4 GOMAXPROCS.
+// the default threshold, per-row threshold overrides, and the
+// GateMinProcs cutoff at both 1 and 4 GOMAXPROCS.
 func TestGateFailures(t *testing.T) {
 	workloads := []BenchResult{
 		{Name: "reach-ok", Speedup: 2.0, Gated: true},
 		{Name: "reach-bad", Speedup: 1.1, Gated: true},
 		{Name: "ungated", Speedup: 0.1},
-		{Name: "sharded-bad", Speedup: 0.7, Gated: true, Family: "sharded", Baseline: "flat-engine"},
-		{Name: "sharded-skipped", Gated: true, Family: "sharded", Baseline: "flat-engine",
-			Skipped: "GOMAXPROCS=1: not timed"},
-		{Name: "sharded-4core", Speedup: 0.9, Gated: true, Family: "sharded", Baseline: "flat-engine",
-			GateMinProcs: 4, GateMinSpeedup: 1.0},
+		{Name: "reach-4core", Speedup: 0.9, Gated: true, GateMinProcs: 4, GateMinSpeedup: 1.0},
 		{Name: "triangle-count", Speedup: 0.8, Gated: true, Family: "scale", Baseline: "hash-join",
 			GateMinSpeedup: 1.0},
 		{Name: "social-join-1M", Speedup: 1.2, Gated: true, Family: "scale", Baseline: "evaluator",
@@ -176,12 +113,11 @@ func TestGateFailures(t *testing.T) {
 	}
 
 	single := &BenchReport{GOMAXPROCS: 1, Workloads: workloads}
-	got := single.GateFailures(1.2, 1.0)
-	// At 1 core: reach-bad (below the 1.2 default), sharded-bad (below
-	// the 1.0 sharded default) and triangle-count (below its own 1.0 —
-	// the leapfrog advantage is algorithmic, so it gates on any host).
-	// The skipped row and both GateMinProcs=4 rows are exempt.
-	want := []string{"reach-bad", "sharded-bad", "triangle-count"}
+	got := single.GateFailures(1.2)
+	// At 1 core: reach-bad (below the 1.2 default) and triangle-count
+	// (below its own 1.0 — the leapfrog advantage is algorithmic, so it
+	// gates on any host). Both GateMinProcs=4 rows are exempt.
+	want := []string{"reach-bad", "triangle-count"}
 	if len(got) != len(want) {
 		t.Fatalf("GateFailures at 1 proc = %v, want failures for %v", got, want)
 	}
@@ -192,10 +128,10 @@ func TestGateFailures(t *testing.T) {
 	}
 
 	multi := &BenchReport{GOMAXPROCS: 4, Workloads: workloads}
-	got = multi.GateFailures(1.2, 1.0)
-	// At 4 cores the GateMinProcs=4 rows join in: sharded-4core is below
+	got = multi.GateFailures(1.2)
+	// At 4 cores the GateMinProcs=4 rows join in: reach-4core is below
 	// its 1.0 override and social-join-1M below its 1.5.
-	want = []string{"reach-bad", "sharded-bad", "sharded-4core", "triangle-count", "social-join-1M"}
+	want = []string{"reach-bad", "reach-4core", "triangle-count", "social-join-1M"}
 	if len(got) != len(want) {
 		t.Fatalf("GateFailures at 4 procs = %v, want failures for %v", got, want)
 	}
@@ -206,13 +142,13 @@ func TestGateFailures(t *testing.T) {
 	}
 
 	// All gates off (zero thresholds): only the per-row overrides bind.
-	got = multi.GateFailures(0, 0)
-	want = []string{"sharded-4core", "triangle-count", "social-join-1M"}
+	got = multi.GateFailures(0)
+	want = []string{"reach-4core", "triangle-count", "social-join-1M"}
 	if len(got) != len(want) {
 		t.Fatalf("GateFailures with zero defaults = %v, want failures for %v", got, want)
 	}
 
-	if fails := (&BenchReport{GOMAXPROCS: 4}).GateFailures(1.2, 1.0); fails != nil {
+	if fails := (&BenchReport{GOMAXPROCS: 4}).GateFailures(1.2); fails != nil {
 		t.Errorf("empty report GateFailures = %v, want nil", fails)
 	}
 }

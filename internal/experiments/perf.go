@@ -11,14 +11,33 @@ import (
 	"repro/internal/triplestore"
 )
 
-// timeOp returns the best of three runs of f — a crude but stable estimator
-// for the scaling tables (we care about growth ratios, not absolutes).
-func timeOp(f func()) time.Duration {
+// timeOp returns the best of three runs of f.
+func timeOp(f func()) time.Duration { return timeBest(0, f) }
+
+// scalingBudget is the wall time timeScaling spends sampling one
+// operation.
+const scalingBudget = 100 * time.Millisecond
+
+// timeScaling is the estimator for the scaling tables, which check growth
+// ratios between sizes rather than absolutes: the best run of f, sampled
+// until the runs add up to scalingBudget. Operations of a few
+// milliseconds or less then get dozens of samples, enough that the best
+// one missed the preemptions a busy machine (other test binaries, a GC
+// cycle) inflicts on most single runs — with three samples, one preempted
+// size skews two ratios at once.
+func timeScaling(f func()) time.Duration { return timeBest(scalingBudget, f) }
+
+// timeBest returns the best run of f over at least three runs, and more
+// until the runs add up to budget.
+func timeBest(budget time.Duration, f func()) time.Duration {
 	best := time.Duration(1<<62 - 1)
-	for i := 0; i < 3; i++ {
+	var total time.Duration
+	for i := 0; i < 3 || total < budget; i++ {
 		start := time.Now()
 		f()
-		if d := time.Since(start); d < best {
+		d := time.Since(start)
+		total += d
+		if d < best {
 			best = d
 		}
 	}
@@ -54,7 +73,7 @@ func E9JoinScaling() *Report {
 		s := genstore.Random(rng, size, size, 0)
 		ev := trial.NewEvaluator(s)
 		ev.Mode = trial.ModeNaive
-		d := timeOp(func() {
+		d := timeScaling(func() {
 			if _, err := ev.Eval(join); err != nil {
 				panic(err)
 			}
@@ -94,7 +113,7 @@ func E11HashJoinScaling() *Report {
 	var lastHash, lastNaive time.Duration
 	for i, size := range sizes {
 		ev := trial.NewEvaluator(stores[i])
-		d := timeOp(func() {
+		d := timeScaling(func() {
 			if _, err := ev.Eval(join); err != nil {
 				panic(err)
 			}
@@ -109,7 +128,7 @@ func E11HashJoinScaling() *Report {
 	// One naive reference at the largest size for the speedup factor.
 	evn := trial.NewEvaluator(stores[len(stores)-1])
 	evn.Mode = trial.ModeNaive
-	lastNaive = timeOp(func() {
+	lastNaive = timeScaling(func() {
 		if _, err := evn.Eval(join); err != nil {
 			panic(err)
 		}
@@ -141,7 +160,7 @@ func E10StarScaling() *Report {
 		ev := trial.NewEvaluator(s)
 		ev.Mode = trial.ModeNaive
 		ev.DisableReachStar = true
-		d := timeOp(func() {
+		d := timeScaling(func() {
 			if _, err := ev.Eval(trial.ReachRight(genstore.RelE)); err != nil {
 				panic(err)
 			}
@@ -173,7 +192,7 @@ func E12ReachStarScaling() *Report {
 	for _, n := range sizes {
 		s := genstore.Chain(n, 1)
 		ev := trial.NewEvaluator(s)
-		d := timeOp(func() {
+		d := timeScaling(func() {
 			if _, err := ev.Eval(trial.ReachRight(genstore.RelE)); err != nil {
 				panic(err)
 			}
@@ -189,7 +208,7 @@ func E12ReachStarScaling() *Report {
 	for _, n := range sizes {
 		s := genstore.Chain(n, 1)
 		ev := trial.NewEvaluator(s)
-		d := timeOp(func() {
+		d := timeScaling(func() {
 			if _, err := ev.Eval(trial.SameLabelReach(genstore.RelE)); err != nil {
 				panic(err)
 			}
@@ -202,13 +221,13 @@ func E12ReachStarScaling() *Report {
 	slow := trial.NewEvaluator(s)
 	slow.DisableReachStar = true
 	slow.Mode = trial.ModeNaive
-	dSlow := timeOp(func() {
+	dSlow := timeScaling(func() {
 		if _, err := slow.Eval(trial.ReachRight(genstore.RelE)); err != nil {
 			panic(err)
 		}
 	})
 	fast := trial.NewEvaluator(s)
-	dFast := timeOp(func() {
+	dFast := timeScaling(func() {
 		if _, err := fast.Eval(trial.ReachRight(genstore.RelE)); err != nil {
 			panic(err)
 		}
@@ -244,14 +263,14 @@ func E13DatalogScaling() *Report {
 	for _, n := range sizes {
 		s := genstore.Transport(rng, n, n/10+1, 3)
 		ev := trial.NewEvaluator(s)
-		dA := timeOp(func() {
+		dA := timeScaling(func() {
 			if _, err := ev.Eval(q); err != nil {
 				panic(err)
 			}
 		})
 		ratioRow(rep, "algebra (Q)", n, dA, prevA)
 		prevA = dA
-		dD := timeOp(func() {
+		dD := timeScaling(func() {
 			if _, err := prog.Evaluate(s); err != nil {
 				panic(err)
 			}

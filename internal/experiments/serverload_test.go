@@ -16,7 +16,7 @@ import (
 // percentiles ordered, and the probe observing the 504 + counter bump
 // + goroutine drain that trialload gates on.
 func TestRunServerLoadSmoke(t *testing.T) {
-	srv := serve.New(genstore.Grid(48, 48), serve.WithWorkers(4), serve.WithShards(2))
+	srv := serve.New(genstore.Grid(48, 48), serve.WithWorkers(4))
 	cfg := LoadConfig{
 		Clients:           4,
 		RequestsPerClient: 10,

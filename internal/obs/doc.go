@@ -24,7 +24,7 @@
 // through the whole query lifecycle — compile, optimize (rewrite trace
 // attached), plan-cache hit or miss, execute — with per-operator spans
 // inside the engine (join probes with input/output cardinalities,
-// semi-naive star rounds with delta sizes, per-shard task timings). A
+// semi-naive star rounds with delta sizes, merge-join key counts). A
 // nil *Span is a valid no-op receiver, so instrumented code pays one
 // nil check when tracing is off. Spans marshal to JSON (the ?trace=1
 // wire shape) and render as an indented text tree (Tree).

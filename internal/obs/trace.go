@@ -19,8 +19,7 @@ type Attr struct {
 // and duration, ordered attributes, and child spans. All methods are
 // safe on a nil receiver (no-ops returning nil), which is how
 // instrumented code stays one branch away from free when tracing is
-// off, and safe for concurrent use, which is how parallel per-shard
-// tasks attach timings to the operator span that spawned them.
+// off, and safe for concurrent use from any goroutine.
 type Span struct {
 	mu       sync.Mutex
 	name     string

@@ -31,9 +31,9 @@ func cyclicStore(t *testing.T, rng *rand.Rand) (*triplestore.Store, string) {
 // diamonds with randomized outputs and occasional residual inequalities —
 // every route returns byte-identical results. The routes include the
 // forced leapfrog and sort-merge physical operators, the binary-only
-// policy they are checked against, and the partition-parallel sharded
-// engines (flat and forced-leapfrog), so the new operators are pinned to
-// the reference Evaluator on exactly the query shapes they exist for.
+// policy they are checked against, and the sequential snapshot engine, so
+// the new operators are pinned to the reference Evaluator on exactly the
+// query shapes they exist for.
 func TestCyclicJoinEquivalence(t *testing.T) {
 	const nStores, perStore = 25, 21
 	rng := rand.New(rand.NewSource(97531))
@@ -41,7 +41,7 @@ func TestCyclicJoinEquivalence(t *testing.T) {
 	pairs, leapfrogPlans := 0, 0
 	for si := 0; si < nStores; si++ {
 		s, label := cyclicStore(t, rng)
-		routes := RoutesWithDisk(t, s, shardCounts()...)
+		routes := RoutesWithDisk(t, s)
 		lf := engine.New(s, engine.WithJoinPolicy(engine.JoinForceLeapfrog))
 		for i := 0; i < perStore; i++ {
 			x := genstore.RandomCyclicJoin(rng, rels)
@@ -82,7 +82,7 @@ func triangleExpr(rel string) trial.Expr {
 // the triangle query checked byte-identical across the binary-only
 // cascade (the oracle at this scale — the reference Evaluator is
 // quadratic and unusable here), the auto planner, the forced leapfrog and
-// merge operators, and a sharded engine. Fully deterministic: seed 42.
+// merge operators. Fully deterministic: seed 42.
 func TestScaleDifferential100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale differential skipped in -short mode")
@@ -100,7 +100,6 @@ func TestScaleDifferential100k(t *testing.T) {
 		{Label: "engine", Eval: engine.New(s).Eval},
 		{Label: "engine-leapfrog", Eval: engine.New(s, engine.WithJoinPolicy(engine.JoinForceLeapfrog)).Eval},
 		{Label: "engine-merge", Eval: engine.New(s, engine.WithJoinPolicy(engine.JoinForceMerge)).Eval},
-		{Label: "sharded-4", Eval: engine.NewSharded(triplestore.Shard(s, 4)).Eval},
 	}
 	tri := triangleExpr(genstore.RelE)
 	want, err := routes[0].Eval(tri)

@@ -1,9 +1,10 @@
 // Package proptest is the property-based differential harness that pins
 // every evaluation route of this repository to the same semantics: the
-// reference trial.Evaluator, the flat internal/engine, and the
-// partition-parallel engine over a triplestore.ShardedStore at several
-// shard counts must produce byte-identical results (compared through the
-// sorted textual rendering) on randomly generated stores and randomly
+// reference trial.Evaluator, internal/engine under every worker count,
+// join policy and optimizer setting, the engine over a frozen Snapshot,
+// and the engine over disk-backed stores (eager, cold and
+// crash-recovered) must produce byte-identical results (compared through
+// the sorted textual rendering) on randomly generated stores and randomly
 // generated TriAL* expressions.
 //
 // Beyond route equivalence, the harness checks the paper's algebraic
@@ -17,9 +18,10 @@
 //   - union laws: associativity, commutativity and idempotence
 //     (deduplication) of ∪.
 //
-// The suites run under plain `go test ./...`; the shard-matrix entry
-// point honors a -shards flag so CI can sweep shard counts
-// (`go test -shards=16 ./internal/proptest`), and FuzzShardedEvaluate
-// extends the differential check to fuzzer-mutated expression texts,
-// seeded from the trial parser's fuzz corpus.
+// The suites run under plain `go test ./...`; TestShardMatrix runs the
+// named paper queries plus random star expressions over every route on
+// four graph shapes, and FuzzShardedEvaluate extends the differential
+// check to fuzzer-mutated expression texts, seeded from the trial
+// parser's fuzz corpus. Both keep the names they had when the routes
+// included the removed partition-parallel engine.
 package proptest

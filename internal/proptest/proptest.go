@@ -22,13 +22,12 @@ type Route struct {
 // Routes returns every evaluation route for s: the reference Evaluator
 // (the oracle, always first), the flat engine (parallel and sequential,
 // optimized and not), the forced physical-join policies (binary-only,
-// leapfrog triejoin, sort-merge), and one partition-parallel engine per
-// requested shard count, each over its own ShardedStore view of s. Shard
-// count 1 is allowed and degenerates to the flat engine — useful for
-// pinning the degradation path in a shard-count sweep.
-func Routes(s *triplestore.Store, shardCounts ...int) []Route {
+// leapfrog triejoin, sort-merge), and a sequential engine over a frozen
+// Snapshot of s — the arrangement every Querier runs, where relations are
+// copy-on-write views rather than the live store's.
+func Routes(s *triplestore.Store) []Route {
 	ev := trial.NewEvaluator(s)
-	routes := []Route{
+	return []Route{
 		{Label: "evaluator", Eval: ev.Eval},
 		{Label: "engine", Eval: engine.New(s).Eval},
 		{Label: "engine-seq", Eval: engine.New(s, engine.WithWorkers(1)).Eval},
@@ -36,16 +35,8 @@ func Routes(s *triplestore.Store, shardCounts ...int) []Route {
 		{Label: "engine-nowco", Eval: engine.New(s, engine.WithJoinPolicy(engine.JoinNoWCO)).Eval},
 		{Label: "engine-leapfrog", Eval: engine.New(s, engine.WithJoinPolicy(engine.JoinForceLeapfrog)).Eval},
 		{Label: "engine-merge", Eval: engine.New(s, engine.WithJoinPolicy(engine.JoinForceMerge)).Eval},
+		{Label: "engine-snap-seq", Eval: engine.New(s.Snapshot(), engine.WithWorkers(1)).Eval},
 	}
-	for _, n := range shardCounts {
-		e := engine.NewSharded(triplestore.Shard(s, n))
-		routes = append(routes, Route{Label: fmt.Sprintf("sharded-%d", n), Eval: e.Eval})
-		eseq := engine.NewSharded(triplestore.Shard(s, n).Snapshot(), engine.WithWorkers(1))
-		routes = append(routes, Route{Label: fmt.Sprintf("sharded-%d-snap-seq", n), Eval: eseq.Eval})
-		elf := engine.NewSharded(triplestore.Shard(s, n), engine.WithJoinPolicy(engine.JoinForceLeapfrog))
-		routes = append(routes, Route{Label: fmt.Sprintf("sharded-%d-leapfrog", n), Eval: elf.Eval})
-	}
-	return routes
 }
 
 // RoutesWithDisk is Routes plus the disk-backed evaluation routes, so
@@ -69,9 +60,9 @@ func Routes(s *triplestore.Store, shardCounts ...int) []Route {
 //     the expressions themselves are portable.
 //
 // The disk engines live in tb's temp dir and close on test cleanup.
-func RoutesWithDisk(tb testing.TB, s *triplestore.Store, shardCounts ...int) []Route {
+func RoutesWithDisk(tb testing.TB, s *triplestore.Store) []Route {
 	tb.Helper()
-	routes := Routes(s, shardCounts...)
+	routes := Routes(s)
 
 	ckpt, err := storage.CreateFrom(filepath.Join(tb.TempDir(), "ckpt"),
 		s, storage.WithSyncPolicy(storage.SyncNone))

@@ -1,7 +1,6 @@
 package proptest
 
 import (
-	"flag"
 	"math/rand"
 	"testing"
 
@@ -10,18 +9,6 @@ import (
 	"repro/internal/trial"
 	"repro/internal/triplestore"
 )
-
-// shardsFlag lets CI sweep the shard count over the whole differential
-// suite: `go test -shards=16 ./internal/proptest`. Unset (0), the suite
-// covers a small default spread.
-var shardsFlag = flag.Int("shards", 0, "run the sharded differential suites with exactly this shard count (0 = default spread)")
-
-func shardCounts() []int {
-	if *shardsFlag > 0 {
-		return []int{*shardsFlag}
-	}
-	return []int{2, 5}
-}
 
 // exprConfigs cycles the generator through every expression fragment:
 // equality-only TriAL=, general conditions, data-value atoms, Kleene
@@ -40,8 +27,9 @@ func exprConfigs() []genstore.ExprOptions {
 
 // TestPropertyEquivalence is the main property: across well over 1000
 // random (store, expression) pairs, every evaluation route — reference
-// Evaluator, flat engine (parallel, sequential, unoptimized) and the
-// partition-parallel engines — returns byte-identical results.
+// Evaluator, engine (parallel, sequential, unoptimized, each join policy,
+// over a snapshot) and the three disk routes — returns byte-identical
+// results.
 func TestPropertyEquivalence(t *testing.T) {
 	const nStores, perStore = 16, 95
 	rng := rand.New(rand.NewSource(1234))
@@ -49,7 +37,7 @@ func TestPropertyEquivalence(t *testing.T) {
 	pairs, failures := 0, 0
 	for si := 0; si < nStores; si++ {
 		s, label := RandomStore(rng)
-		routes := RoutesWithDisk(t, s, shardCounts()...)
+		routes := RoutesWithDisk(t, s)
 		opt := optimizer.New(s)
 		domain := len(s.ActiveDomain())
 		for i := 0; i < perStore; i++ {
@@ -80,13 +68,14 @@ func TestPropertyEquivalence(t *testing.T) {
 		t.Errorf("only %d successfully evaluated pairs, want >= 1000", pairs)
 	}
 	t.Logf("checked %d (store, expression) pairs across %d routes each",
-		pairs, len(RoutesWithDisk(t, genstore.Chain(2, 1), shardCounts()...)))
+		pairs, len(RoutesWithDisk(t, genstore.Chain(2, 1))))
 }
 
-// TestShardMatrix is the CI shard-matrix entry point: the named paper
-// queries plus random star expressions, differentially checked at the
-// shard count selected by -shards (or the default spread). Shard count 1
-// is a valid matrix point and pins the flat-engine degradation.
+// TestShardMatrix: the named paper queries plus random star expressions,
+// differentially checked across every route on four graph shapes. It was
+// the CI shard-count sweep while the routes included partition-parallel
+// engines; the fixed cases still pin every remaining route on the shapes
+// the random stores rarely produce (long chains, grids, cycles).
 func TestShardMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	stores := map[string]*triplestore.Store{
@@ -97,7 +86,7 @@ func TestShardMatrix(t *testing.T) {
 	}
 	for label, s := range stores {
 		t.Run(label, func(t *testing.T) {
-			routes := RoutesWithDisk(t, s, shardCounts()...)
+			routes := RoutesWithDisk(t, s)
 			for _, q := range []trial.Expr{
 				trial.Example2(genstore.RelE),
 				trial.Example2Extended(genstore.RelE),
@@ -155,7 +144,7 @@ func TestMetamorphicJoinCommutation(t *testing.T) {
 	checked := 0
 	for si := 0; si < 8; si++ {
 		s, _ := RandomStore(rng)
-		routes := RoutesWithDisk(t, s, shardCounts()...)
+		routes := RoutesWithDisk(t, s)
 		for i := 0; i < 25; i++ {
 			j := trial.MustJoin(
 				genstore.RandomExpr(rng, sub),
@@ -181,7 +170,7 @@ func TestMetamorphicStarIdempotence(t *testing.T) {
 	checked := 0
 	for si := 0; si < 8; si++ {
 		s, _ := RandomStore(rng)
-		routes := RoutesWithDisk(t, s, shardCounts()...)
+		routes := RoutesWithDisk(t, s)
 		for i := 0; i < 12; i++ {
 			inner := ReachStar(genstore.RandomExpr(rng, sub), rng.Intn(2) == 0, rng.Intn(2) == 0)
 			outer := trial.MustStar(inner, inner.Out, inner.Cond, rng.Intn(2) == 0)
@@ -202,7 +191,7 @@ func TestMetamorphicUnionLaws(t *testing.T) {
 	sub := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 2, AllowStar: true}
 	for si := 0; si < 6; si++ {
 		s, _ := RandomStore(rng)
-		routes := RoutesWithDisk(t, s, shardCounts()...)
+		routes := RoutesWithDisk(t, s)
 		for i := 0; i < 15; i++ {
 			a := genstore.RandomExpr(rng, sub)
 			b := genstore.RandomExpr(rng, sub)
@@ -224,7 +213,7 @@ func TestMetamorphicOptimizerRewrites(t *testing.T) {
 	cfg := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 4, AllowStar: true, AllowValueConds: true}
 	for si := 0; si < 6; si++ {
 		s, _ := RandomStore(rng)
-		routes := RoutesWithDisk(t, s, shardCounts()...)
+		routes := RoutesWithDisk(t, s)
 		opt := optimizer.New(s)
 		for i := 0; i < 25; i++ {
 			x := genstore.RandomExpr(rng, cfg)

@@ -23,16 +23,13 @@
 // entirely — the cache is what makes the façade cheap enough to sit on
 // the server's hot path.
 //
-// The Querier is safe to use while the store is being mutated through
-// the store's own methods: each query runs against an immutable
-// Snapshot of the store's current version (one engine per version,
-// refreshed lazily), and plans cached for versions that died are swept
-// out of the LRU on the next miss — or as soon as Store() observes the
-// advanced version — counted in CacheStats.StaleEvictions.
-//
-// NewSharded routes queries through the partition-parallel engine over
-// a triplestore.ShardedStore, snapshotting union and shard partitions
-// together per store version; a single-shard store transparently
-// degrades to the flat engine. Everything else — languages, plan cache,
-// sweeps — behaves identically in both modes.
+// Every Querier runs over one storage.Engine: NewStorage takes a Mem or
+// Disk backend, and New(s) is NewStorage(storage.NewMem(s)). The
+// Querier is safe to use while the store is being mutated: each query
+// runs against an immutable snapshot of the store's current version,
+// pinned through the backend (one Pin and one engine per version,
+// refreshed lazily; on Mem a pin is a plain Snapshot), and plans cached
+// for versions that died are swept out of the LRU on the next miss — or
+// as soon as Store() observes the advanced version — counted in
+// CacheStats.StaleEvictions.
 package query

@@ -63,23 +63,23 @@ func ParseLang(s string) (Lang, error) {
 	return "", fmt.Errorf("query: unknown language %q (want one of trial, nsparql, rpq, nre, gxpath)", s)
 }
 
-// Querier routes queries in every supported language through one engine.
-// It is safe for concurrent use even while the store is being mutated
-// through the store's own methods: every query is compiled and executed
-// against an immutable Snapshot of the store's current version, so
-// readers never observe a half-applied batch, and plans cached for dead
-// versions are swept out of the LRU as the version advances.
+// Querier routes queries in every supported language through one engine
+// over one storage.Engine backend (Mem or Disk). It is safe for
+// concurrent use even while the store is being mutated: every query is
+// compiled and executed against an immutable snapshot of the store's
+// current version, pinned through the backend, so readers never observe
+// a half-applied batch, and plans cached for dead versions are swept out
+// of the LRU as the version advances.
 type Querier struct {
-	store   *triplestore.Store
-	sharded *triplestore.ShardedStore // non-nil when built by NewSharded
-	backend storage.Engine            // non-nil when built by NewStorage
+	backend storage.Engine
+	store   *triplestore.Store // backend.Store(), the live store
 	rel     string
 	engOpts []engine.Option
 
 	mu       sync.Mutex
 	eng      *engine.Engine // engine over the snapshot at engVer; nil until first use
 	engVer   uint64
-	pin      *storage.Pin // pins engVer's segment manifest; nil without a backend
+	pin      *storage.Pin // pins engVer's snapshot (and on Disk its segment manifest)
 	pinGen   uint64       // manifest generation the current pin holds
 	cache    *lruCache
 	stats    CacheStats
@@ -118,14 +118,25 @@ func WithEngineOptions(opts ...engine.Option) Option {
 // not given.
 const DefaultCacheSize = 128
 
-// New returns a Querier over the given store.
+// New returns a Querier over an in-memory store: NewStorage over
+// storage.NewMem(s).
 func New(s *triplestore.Store, opts ...Option) *Querier {
+	return NewStorage(storage.NewMem(s), opts...)
+}
+
+// NewStorage returns a Querier over a storage engine: queries run over
+// pinned snapshots, so a disk-backed engine cannot garbage-collect the
+// segment files a long query (or a cached plan's snapshot) still reads
+// from under it; on Mem a pin is just a snapshot. Call Close when done so
+// the last pin is released and the backend may compact freely.
+func NewStorage(eng storage.Engine, opts ...Option) *Querier {
 	cfg := config{rel: "E", cacheSize: DefaultCacheSize}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	q := &Querier{
-		store:   s,
+		backend: eng,
+		store:   eng.Store(),
 		rel:     cfg.rel,
 		engOpts: cfg.engOpts,
 		cache:   newLRUCache(cfg.cacheSize),
@@ -134,37 +145,10 @@ func New(s *triplestore.Store, opts ...Option) *Querier {
 	return q
 }
 
-// NewSharded returns a Querier over a sharded store: per store version
-// it snapshots the ShardedStore (union and partitions at one instant)
-// and routes queries through the partition-parallel engine; everything
-// else — languages, plan cache, stale sweeps — works exactly as with
-// New. A single-shard store transparently degrades to the flat engine.
-func NewSharded(ss *triplestore.ShardedStore, opts ...Option) *Querier {
-	q := New(ss.Store, opts...)
-	if ss.NumShards() > 1 {
-		q.sharded = ss
-	}
-	return q
-}
-
-// NewStorage returns a Querier over a storage engine: queries run over
-// pinned snapshots, so a disk-backed engine cannot garbage-collect the
-// segment files a long query (or a cached plan's snapshot) still reads
-// from under it. Everything else — languages, plan cache, stale sweeps —
-// works exactly as with New; an in-memory engine degrades to New's
-// behavior because its pins are free. Call Close when done so the last
-// pin is released and the backend may compact freely.
-func NewStorage(eng storage.Engine, opts ...Option) *Querier {
-	q := New(eng.Store(), opts...)
-	q.backend = eng
-	return q
-}
-
 // Close releases the Querier's pin on the storage backend (if any): the
 // backend may then delete segment files the last snapshot was reading.
 // Cached plans stay usable for the lifetime of their snapshot's memory,
-// but no new queries should be issued after Close. Close is a no-op for
-// Queriers built by New or NewSharded.
+// but no new queries should be issued after Close.
 func (q *Querier) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -191,37 +175,25 @@ func (q *Querier) Engine() *engine.Engine {
 // live store has moved on. Callers hold q.mu.
 func (q *Querier) engineLocked() *engine.Engine {
 	if v := q.store.Version(); q.eng == nil || q.engVer != v {
-		switch {
-		case q.sharded != nil:
-			snap := q.sharded.Snapshot()
-			q.eng = engine.NewSharded(snap, q.engOpts...)
-			q.engVer = snap.Version()
-		case q.backend != nil:
-			// Pin (version, segment manifest) as a unit: the snapshot's
-			// data may live in segment files, and the pin keeps the backend
-			// from deleting them after a compaction until this Querier has
-			// moved on. The previous pin is released only after the new one
-			// is taken so there is no window where nothing is pinned.
-			pin := q.backend.Pin()
-			if q.pin != nil {
-				q.pin.Release()
-			}
-			q.pin = pin
-			q.pinGen = pin.Generation
-			q.eng = engine.New(pin.Store, q.engOpts...)
-			q.engVer = pin.Store.Version()
-		default:
-			snap := q.store.Snapshot()
-			q.eng = engine.New(snap, q.engOpts...)
-			q.engVer = snap.Version()
+		// Pin (version, segment manifest) as a unit: on Disk the
+		// snapshot's data may live in segment files, and the pin keeps the
+		// backend from deleting them after a compaction until this Querier
+		// has moved on. The previous pin is released only after the new
+		// one is taken so there is no window where nothing is pinned.
+		pin := q.backend.Pin()
+		if q.pin != nil {
+			q.pin.Release()
 		}
+		q.pin = pin
+		q.pinGen = pin.Generation
+		q.eng = engine.New(pin.Store, q.engOpts...)
+		q.engVer = pin.Store.Version()
 		q.stats.StaleEvictions += uint64(q.cache.sweep(q.engVer))
 	}
 	return q.eng
 }
 
-// Store returns the live store the Querier snapshots from (for a
-// sharded Querier, the union view of the ShardedStore). Observing the
+// Store returns the live store the Querier snapshots from. Observing the
 // store is also a sweep point: when the version has advanced since the
 // last snapshot, plans cached for the dead version are removed now —
 // previously that happened only on the next compile, so a Querier whose
@@ -286,9 +258,9 @@ func (q *Querier) Query(lang Lang, source string) (*triplestore.Relation, error)
 
 // QueryContext is Query under a caller-supplied context. Compilation
 // and planning are not interruptible (they are cheap and cache-bound),
-// but execution polls ctx at operator, worker-chunk, star-round and
-// shard-task boundaries, so cancelling a slow query actually frees the
-// engine's worker pool. The error is then ctx.Err().
+// but execution polls ctx at operator, worker-chunk and star-round
+// boundaries, so cancelling a slow query actually frees the engine's
+// worker pool. The error is then ctx.Err().
 func (q *Querier) QueryContext(ctx context.Context, lang Lang, source string) (*triplestore.Relation, error) {
 	p, err := q.prepare(lang, source)
 	if err != nil {

@@ -316,3 +316,51 @@ func TestLangsCoverCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleSweepOnStoreObservation is the regression test for the sweep
+// gap: plans cached for a dead version used to survive until the next
+// compile (miss/put); observing the store through Store() after a
+// version change must now sweep them too.
+func TestStaleSweepOnStoreObservation(t *testing.T) {
+	s := genstore.Chain(6, 1)
+	q := New(s, WithRelation(genstore.RelE))
+	queries := []string{"E", "join[1,3',3; 2=1'](E, E)"}
+	for _, src := range queries {
+		if _, err := q.Query(LangTriAL, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := q.Stats(); st.Size != len(queries) || st.StaleEvictions != 0 {
+		t.Fatalf("warm cache: %+v", st)
+	}
+
+	s.Add(genstore.RelE, "z0", "a", "z1")
+
+	// No query in between: the observation alone must sweep.
+	if got := q.Store(); got != s {
+		t.Fatalf("Store() returned %p, want %p", got, s)
+	}
+	st := q.Stats()
+	if st.StaleEvictions != uint64(len(queries)) {
+		t.Errorf("StaleEvictions after Store() = %d, want %d", st.StaleEvictions, len(queries))
+	}
+	if st.Size != 0 {
+		t.Errorf("cache Size after Store() sweep = %d, want 0", st.Size)
+	}
+
+	// The sweep is idempotent and does not double-count on the next miss.
+	q.Store()
+	if _, err := q.Query(LangTriAL, "E"); err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.StaleEvictions != uint64(len(queries)) {
+		t.Errorf("StaleEvictions double-counted: %d, want %d", st.StaleEvictions, len(queries))
+	}
+
+	// Before any engine exists, Store() must not sweep (nothing cached).
+	fresh := New(genstore.Chain(3, 1))
+	fresh.Store()
+	if st := fresh.Stats(); st.StaleEvictions != 0 {
+		t.Errorf("fresh Querier swept %d entries", st.StaleEvictions)
+	}
+}

@@ -5,22 +5,26 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/genstore"
+	"repro/internal/storage"
 	"repro/internal/trial"
 	"repro/internal/triplestore"
 )
 
+// The tests in this file keep the names they had when they covered the
+// sharded Querier. That Querier is gone — every Querier runs over one
+// storage.Engine, and the engine's worker pool is its parallel path — so
+// each now checks the same property on a multi-worker Querier.
+
 // TestShardedQuerierDifferential routes every language through a
-// sharded Querier and pins the results byte-identical to a flat Querier
-// over the same data.
+// four-worker Querier built by NewStorage over storage.NewMem and pins
+// the results byte-identical to a sequential Querier built by New over
+// the same data.
 func TestShardedQuerierDifferential(t *testing.T) {
 	s := genstore.Grid(6, 6)
-	flat := New(s, WithRelation(genstore.RelE))
-	ss := triplestore.Shard(s, 4)
-	sharded := NewSharded(ss, WithRelation(genstore.RelE))
-	if sharded.Engine().Sharded() == nil {
-		t.Fatal("sharded Querier built a flat engine")
-	}
+	seq := New(s, WithRelation(genstore.RelE), WithEngineOptions(engine.WithWorkers(1)))
+	par := NewStorage(storage.NewMem(s), WithRelation(genstore.RelE), WithEngineOptions(engine.WithWorkers(4)))
 
 	cases := []struct {
 		lang Lang
@@ -35,108 +39,59 @@ func TestShardedQuerierDifferential(t *testing.T) {
 		{LangNRE, "(right)*"},
 	}
 	for _, c := range cases {
-		want, err := flat.Query(c.lang, c.src)
+		want, err := seq.Query(c.lang, c.src)
 		if err != nil {
-			t.Fatalf("%s %q: flat: %v", c.lang, c.src, err)
+			t.Fatalf("%s %q: sequential: %v", c.lang, c.src, err)
 		}
-		got, err := sharded.Query(c.lang, c.src)
+		got, err := par.Query(c.lang, c.src)
 		if err != nil {
-			t.Fatalf("%s %q: sharded: %v", c.lang, c.src, err)
+			t.Fatalf("%s %q: parallel: %v", c.lang, c.src, err)
 		}
 		if gw, gg := s.FormatRelation(want), s.FormatRelation(got); gw != gg {
-			t.Errorf("%s %q diverges: flat %d vs sharded %d triples",
+			t.Errorf("%s %q diverges: sequential %d vs parallel %d triples",
 				c.lang, c.src, want.Len(), got.Len())
 		}
 	}
 }
 
 // TestShardedQuerierPicksEnginePerVersion pins the transparent routing:
-// after a mutation the sharded Querier re-snapshots and the fresh engine
-// still carries the partition-parallel executor at the new version.
+// the Querier's engine runs over a snapshot, is reused while the store
+// is unchanged, and is replaced by one at the new version after a
+// mutation.
 func TestShardedQuerierPicksEnginePerVersion(t *testing.T) {
-	ss := triplestore.NewShardedStore(4)
-	ss.Add("E", "a", "p", "b")
-	q := NewSharded(ss)
+	s := triplestore.NewStore()
+	s.Add("E", "a", "p", "b")
+	q := New(s, WithEngineOptions(engine.WithWorkers(4)))
 	e1 := q.Engine()
-	if e1.Sharded() == nil || !e1.Store().IsSnapshot() {
-		t.Fatal("first engine is not a sharded snapshot engine")
+	if !e1.Store().IsSnapshot() {
+		t.Fatal("first engine does not run over a snapshot")
 	}
-	ss.Add("E", "b", "p", "c")
+	if q.Engine() != e1 {
+		t.Fatal("engine rebuilt without a version change")
+	}
+	s.Add("E", "b", "p", "c")
 	e2 := q.Engine()
 	if e2 == e1 {
 		t.Fatal("engine not refreshed after version change")
 	}
-	if e2.Sharded() == nil {
-		t.Fatal("refreshed engine lost the sharded executor")
+	if !e2.Store().IsSnapshot() {
+		t.Fatal("refreshed engine does not run over a snapshot")
 	}
-	if e2.Store().Version() != ss.Version() {
-		t.Errorf("engine version %d, store version %d", e2.Store().Version(), ss.Version())
-	}
-	// Single-shard stores transparently degrade to the flat engine.
-	one := NewSharded(triplestore.Shard(genstore.Chain(4, 1), 1))
-	if one.Engine().Sharded() != nil {
-		t.Error("single-shard Querier built a sharded engine")
-	}
-}
-
-// TestStaleSweepOnStoreObservation is the regression test for the sweep
-// gap: plans cached for a dead version used to survive until the next
-// compile (miss/put); observing the store through Store() after a
-// version change must now sweep them too.
-func TestStaleSweepOnStoreObservation(t *testing.T) {
-	s := genstore.Chain(6, 1)
-	q := New(s, WithRelation(genstore.RelE))
-	queries := []string{"E", "join[1,3',3; 2=1'](E, E)"}
-	for _, src := range queries {
-		if _, err := q.Query(LangTriAL, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := q.Stats(); st.Size != len(queries) || st.StaleEvictions != 0 {
-		t.Fatalf("warm cache: %+v", st)
-	}
-
-	s.Add(genstore.RelE, "z0", "a", "z1")
-
-	// No query in between: the observation alone must sweep.
-	if got := q.Store(); got != s {
-		t.Fatalf("Store() returned %p, want %p", got, s)
-	}
-	st := q.Stats()
-	if st.StaleEvictions != uint64(len(queries)) {
-		t.Errorf("StaleEvictions after Store() = %d, want %d", st.StaleEvictions, len(queries))
-	}
-	if st.Size != 0 {
-		t.Errorf("cache Size after Store() sweep = %d, want 0", st.Size)
-	}
-
-	// The sweep is idempotent and does not double-count on the next miss.
-	q.Store()
-	if _, err := q.Query(LangTriAL, "E"); err != nil {
-		t.Fatal(err)
-	}
-	if st := q.Stats(); st.StaleEvictions != uint64(len(queries)) {
-		t.Errorf("StaleEvictions double-counted: %d, want %d", st.StaleEvictions, len(queries))
-	}
-
-	// Before any engine exists, Store() must not sweep (nothing cached).
-	fresh := New(genstore.Chain(3, 1))
-	fresh.Store()
-	if st := fresh.Stats(); st.StaleEvictions != 0 {
-		t.Errorf("fresh Querier swept %d entries", st.StaleEvictions)
+	if e2.Store().Version() != s.Version() {
+		t.Errorf("engine version %d, store version %d", e2.Store().Version(), s.Version())
 	}
 }
 
 // TestShardedBulkIngestDuringEvaluate is the batch-boundary consistency
-// race test on a ShardedStore: ApplyBatch batches land while concurrent
-// queries run through the sharded Querier (run with -race); every result
-// must sit on a batch boundary, and the final state must match.
+// race test: ApplyBatch batches land while concurrent queries run
+// through a four-worker Querier (run with -race); every result must sit
+// on a batch boundary, and the final state must match.
 func TestShardedBulkIngestDuringEvaluate(t *testing.T) {
 	const batchSize, nBatches = 5, 24
-	ss := triplestore.NewShardedStore(4)
-	ss.Add("E", "a", "p", "b")
-	base := ss.Size()
-	q := NewSharded(ss, WithRelation("E"))
+	s := triplestore.NewStore()
+	s.Add("E", "a", "p", "b")
+	base := s.Size()
+	q := New(s, WithRelation("E"), WithEngineOptions(engine.WithWorkers(4)))
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -147,7 +102,7 @@ func TestShardedBulkIngestDuringEvaluate(t *testing.T) {
 			for i := range ops {
 				ops[i] = triplestore.Op{Rel: "E", S: fmt.Sprintf("s%d-%d", b, i), P: "p", O: "b"}
 			}
-			if _, err := ss.ApplyBatch(ops); err != nil {
+			if _, err := s.ApplyBatch(ops); err != nil {
 				t.Error(err)
 				return
 			}
@@ -188,11 +143,12 @@ func TestShardedBulkIngestDuringEvaluate(t *testing.T) {
 	}
 }
 
-// TestShardedDifferentialOnMutatedStore pins the sharded Querier to the
-// reference Evaluator across interleaved writes, batches and deletes.
+// TestShardedDifferentialOnMutatedStore pins a four-worker Querier to
+// the reference Evaluator across interleaved writes, batches and
+// deletes.
 func TestShardedDifferentialOnMutatedStore(t *testing.T) {
-	ss := triplestore.Shard(genstore.Chain(8, 2), 4)
-	q := NewSharded(ss, WithRelation(genstore.RelE))
+	s := genstore.Chain(8, 2)
+	q := New(s, WithRelation(genstore.RelE), WithEngineOptions(engine.WithWorkers(4)))
 	srcs := []string{"E", "join[1,3',3; 2=1'](E, E)", "rstar[1,2,3'; 3=1',1!=3'](E)"}
 
 	check := func(label string) {
@@ -202,7 +158,7 @@ func TestShardedDifferentialOnMutatedStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := trial.NewEvaluator(ss.Store).Eval(x)
+			want, err := trial.NewEvaluator(s).Eval(x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,16 +166,16 @@ func TestShardedDifferentialOnMutatedStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gw, gg := ss.FormatRelation(want), ss.FormatRelation(got); gw != gg {
+			if gw, gg := s.FormatRelation(want), s.FormatRelation(got); gw != gg {
 				t.Errorf("%s: %q diverges:\nevaluator:\n%squerier:\n%s", label, src, gw, gg)
 			}
 		}
 	}
 
 	check("initial")
-	ss.Add(genstore.RelE, "x1", "a", "x2")
+	s.Add(genstore.RelE, "x1", "a", "x2")
 	check("after add")
-	if _, err := ss.ApplyBatch([]triplestore.Op{
+	if _, err := s.ApplyBatch([]triplestore.Op{
 		{Rel: genstore.RelE, S: "x2", P: "a", O: "x3"},
 		{Rel: genstore.RelE, S: "x3", P: "b", O: "x1"},
 		{Delete: true, Rel: genstore.RelE, S: "x1", P: "a", O: "x2"},
@@ -227,6 +183,6 @@ func TestShardedDifferentialOnMutatedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after batch")
-	ss.Remove(genstore.RelE, "x3", "b", "x1")
+	s.Remove(genstore.RelE, "x3", "b", "x1")
 	check("after remove")
 }

@@ -186,8 +186,9 @@ func TestStatsRefreshesPerPinnedQuery(t *testing.T) {
 	}
 }
 
-// TestQuerierCloseIsNoOpWithoutBackend pins that Close on a plain
-// Querier is safe and idempotent.
+// TestQuerierCloseIsNoOpWithoutBackend pins that Close on a Querier built
+// by New (an in-memory backend, whose pins hold no files) is safe and
+// idempotent.
 func TestQuerierCloseIsNoOpWithoutBackend(t *testing.T) {
 	q := New(triplestore.NewStore())
 	if err := q.Close(); err != nil {

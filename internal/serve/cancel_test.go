@@ -19,9 +19,9 @@ import (
 // any machine, while still finishing unbounded in well under a minute.
 const slowQuery = `rstar[1,2,3'; 3=1'](E)`
 
-func gridServer(t *testing.T, side, shards int) (*Server, *httptest.Server) {
+func gridServer(t *testing.T, side int) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(genstore.Grid(side, side), WithWorkers(4), WithShards(shards))
+	srv := New(genstore.Grid(side, side), WithWorkers(4))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -34,7 +34,7 @@ func gridServer(t *testing.T, side, shards int) (*Server, *httptest.Server) {
 // workers actually stopped instead of running the fixpoint to
 // completion in the background.
 func TestQueryTimeout(t *testing.T) {
-	srv, ts := gridServer(t, 72, 1)
+	srv, ts := gridServer(t, 72)
 	// Warm up the keep-alive connection first so the baseline includes
 	// the client/server conn goroutines, not just the engine's.
 	if resp, _ := get(t, ts.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
@@ -125,12 +125,13 @@ func TestExplainTraceHonorsTimeout(t *testing.T) {
 }
 
 // TestCancelDuringShardedStarHTTP races client-side cancellation
-// against in-flight partition-parallel star queries over HTTP (run
+// against in-flight star queries on a four-worker engine over HTTP (run
 // with -race): requests are aborted at staggered points mid-execution,
 // disconnect cancellations land on the metric, and the server keeps
-// answering correctly afterwards.
+// answering correctly afterwards. (The name dates from the removed
+// partition-parallel executor; the worker pool replaced it.)
 func TestCancelDuringShardedStarHTTP(t *testing.T) {
-	srv, ts := gridServer(t, 48, 4)
+	srv, ts := gridServer(t, 48)
 	u := ts.URL + "/v1/query?q=" + url.QueryEscape(slowQuery)
 
 	var wg sync.WaitGroup
@@ -158,7 +159,7 @@ func TestCancelDuringShardedStarHTTP(t *testing.T) {
 	wg.Wait()
 
 	// However the races landed, the server must keep answering (a cheap
-	// scan; the sharded differential suite pins result correctness).
+	// scan; the proptest differential suites pin result correctness).
 	resp, _ := get(t, ts.URL+"/v1/query?limit=1&q=E")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-race query: status %d", resp.StatusCode)

@@ -70,7 +70,7 @@ func TestMetricsLint(t *testing.T) {
 		t.Errorf("lint: %v", err)
 	}
 	for _, want := range []string{
-		`trial_query_duration_seconds_bucket{lang="trial",route="flat",le="+Inf"} 3`,
+		`trial_query_duration_seconds_bucket{lang="trial",le="+Inf"} 3`,
 		`trial_queries_total{lang="trial",status="ok"} 2`,
 		`trial_queries_total{lang="trial",status="error"} 1`,
 		`trial_queries_total{lang="rpq",status="ok"} 1`,
@@ -82,8 +82,8 @@ func TestMetricsLint(t *testing.T) {
 		`trial_store_mutations_total{op="added"}`,
 		`trial_http_requests_total{route="/query",class="2xx"} 3`,
 		`trial_http_requests_total{route="/query",class="4xx"} 1`,
-		`trial_http_in_flight 1`, // the /metrics request itself
-		`trial_shards 1`,
+		`trial_http_in_flight 1`,    // the /metrics request itself
+		`trial_storage_wal_bytes 0`, // a mem server exports the storage families as zeros
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -91,10 +91,12 @@ func TestMetricsLint(t *testing.T) {
 	}
 }
 
-// TestMetricsSharded: the sharded server reports per-shard triple
-// gauges and routes query latency under route="sharded".
+// TestMetricsSharded: a four-worker server exports the same families as
+// any other — query latency keyed by language alone, the storage
+// families, and none of the per-shard gauges or the route label the
+// removed partition-parallel executor used to add.
 func TestMetricsSharded(t *testing.T) {
-	srv := New(fixtures.Transport(), WithWorkers(2), WithRelation(fixtures.RelE), WithCacheSize(64), WithShards(4))
+	srv := New(fixtures.Transport(), WithWorkers(4), WithRelation(fixtures.RelE), WithCacheSize(64))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	resp, _ := get(t, ts.URL+"/query?q="+url.QueryEscape("join[1,3',3; 2=1'](E, E)"))
@@ -106,13 +108,16 @@ func TestMetricsSharded(t *testing.T) {
 		t.Errorf("lint: %v", err)
 	}
 	for _, want := range []string{
-		`trial_shards 4`,
-		`trial_shard_triples{shard="0"}`,
-		`trial_shard_triples{shard="3"}`,
-		`trial_query_duration_seconds_bucket{lang="trial",route="sharded",le="+Inf"} 1`,
+		`trial_query_duration_seconds_bucket{lang="trial",le="+Inf"} 1`,
+		`trial_storage_wal_bytes 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, gone := range []string{`trial_shards`, `trial_shard_triples`, `route="flat"`, `route="sharded"`} {
+		if strings.Contains(body, gone) {
+			t.Errorf("exposition still carries %q", gone)
 		}
 	}
 }

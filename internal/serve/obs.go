@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -13,18 +12,18 @@ import (
 
 // serverMetrics is the server's obs registry and the instruments it
 // updates on the hot paths. Everything else on /metrics — plan-cache
-// counters, store and shard gauges — is exported as callbacks sampling
+// counters, store and storage gauges — is exported as callbacks sampling
 // the owning component at scrape time, so there is exactly one source
 // of truth per number and /stats reads the same instruments (the two
 // endpoints cannot drift).
 type serverMetrics struct {
 	reg *obs.Registry
 
-	// Query path. Latency is labeled by language and route (flat vs
-	// sharded executor); outcomes by language and status. Both label
-	// sets are closed (5 languages x fixed statuses), so cardinality is
-	// bounded by construction, not just by the registry cap.
-	queryDur     *obs.HistogramVec // trial_query_duration_seconds{lang,route}
+	// Query path. Latency is labeled by language; outcomes by language
+	// and status. Both label sets are closed (5 languages x fixed
+	// statuses), so cardinality is bounded by construction, not just by
+	// the registry cap.
+	queryDur     *obs.HistogramVec // trial_query_duration_seconds{lang}
 	queriesTotal *obs.CounterVec   // trial_queries_total{lang,status}
 
 	// Cancellation: queries stopped by their context, by reason —
@@ -43,20 +42,17 @@ type serverMetrics struct {
 	httpInFlight *obs.Gauge      // trial_http_in_flight
 	httpRequests *obs.CounterVec // trial_http_requests_total{route,class}
 	httpRejected *obs.CounterVec // trial_http_requests_rejected_total{reason}
-
-	route string // "flat" or "sharded", the executor this server runs
 }
 
 // newServerMetrics builds the registry for one server instance (tests
 // scrape in isolation) and registers the callback-backed families.
-func newServerMetrics(q *query.Querier, store *triplestore.Store,
-	sharded *triplestore.ShardedStore, eng storage.Engine,
-	slow *obs.SlowLog, start time.Time) *serverMetrics {
+func newServerMetrics(q *query.Querier, eng storage.Engine, slow *obs.SlowLog, start time.Time) *serverMetrics {
+	store := eng.Store()
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
 		queryDur: reg.HistogramVec("trial_query_duration_seconds",
-			"query latency by language and executor route", obs.DurationBuckets(), "lang", "route"),
+			"query latency by language", obs.DurationBuckets(), "lang"),
 		queriesTotal: reg.CounterVec("trial_queries_total",
 			"queries served by language and status", "lang", "status"),
 		queryCancelled: reg.CounterVec("trial_query_cancelled_total",
@@ -73,10 +69,6 @@ func newServerMetrics(q *query.Querier, store *triplestore.Store,
 			"HTTP requests by route and status class", "route", "class"),
 		httpRejected: reg.CounterVec("trial_http_requests_rejected_total",
 			"HTTP requests refused by the serving tier, by reason", "reason"),
-		route: "flat",
-	}
-	if sharded != nil {
-		m.route = "sharded"
 	}
 
 	// Plan cache: counters owned by the Querier, sampled at scrape time.
@@ -109,67 +101,48 @@ func newServerMetrics(q *query.Querier, store *triplestore.Store,
 	reg.CounterFunc("trial_store_mutations_total", "",
 		func() uint64 { return store.MutationStats().Removes }, "op", "removed")
 
-	// Shards: one gauge per partition (bounded by the shard count; the
-	// registry folds anything past MaxCardinality into an overflow
-	// series, so even an absurd -shards cannot blow up the scrape).
-	nShards := 1
-	if sharded != nil {
-		nShards = sharded.NumShards()
-		for i := 0; i < nShards; i++ {
-			shard := i
-			reg.GaugeFunc("trial_shard_triples", "triples per shard (skew bounds the parallel win)",
-				func() float64 { return float64(sharded.ShardStats()[shard].Triples) },
-				"shard", strconv.Itoa(shard))
-		}
-	}
-	reg.GaugeFunc("trial_shards", "shard count (1 = flat store)",
-		func() float64 { return float64(nShards) })
-
 	// Storage engine: WAL, segment, flush/compaction and recovery
-	// counters sampled from the engine at scrape time. Only registered
-	// when the server fronts a disk engine; a plain in-memory server
-	// keeps its scrape free of always-zero series.
-	if eng != nil {
-		reg.GaugeFunc("trial_storage_wal_bytes", "bytes in the live write-ahead log",
-			func() float64 { return float64(eng.Stats().WALBytes) })
-		reg.CounterFunc("trial_storage_wal_records_total", "records appended to the live WAL",
-			func() uint64 { return eng.Stats().WALRecords })
-		reg.GaugeFunc("trial_storage_segments", "immutable segment files in the current manifest",
-			func() float64 { return float64(eng.Stats().Segments) })
-		reg.GaugeFunc("trial_storage_segment_bytes", "total bytes across manifest segments",
-			func() float64 { return float64(eng.Stats().SegmentBytes) })
-		reg.CounterFunc("trial_storage_flushes_total", "memtable flushes to segment files",
-			func() uint64 { return eng.Stats().Flushes })
-		reg.CounterFunc("trial_storage_compactions_total", "segment-stack compactions",
-			func() uint64 { return eng.Stats().Compactions })
-		reg.GaugeFunc("trial_storage_recovery_ms", "milliseconds the last Open spent recovering",
-			func() float64 { return eng.Stats().RecoveryMillis })
-		reg.GaugeFunc("trial_storage_pinned_generations", "manifest generations pinned by snapshots",
-			func() float64 { return float64(eng.Stats().PinnedGenerations) })
-		// Residency: how much of the store is materialized on the heap
-		// versus served from mapped segment files (WithReadBudget; all
-		// zeros on an eager engine except the -1 budget gauge).
-		reg.GaugeFunc("trial_storage_read_budget_bytes", "residency byte budget (-1 unlimited, 0 fully cold)",
-			func() float64 { return float64(eng.Stats().Residency.Budget) })
-		reg.GaugeFunc("trial_storage_resident_bytes", "estimated heap bytes held by promoted relations",
-			func() float64 { return float64(eng.Stats().Residency.ResidentBytes) })
-		reg.GaugeFunc("trial_storage_resident_relations", "relations materialized in memory",
-			func() float64 { return float64(eng.Stats().Residency.ResidentRelations) })
-		reg.GaugeFunc("trial_storage_cold_relations", "relations served from segment files",
-			func() float64 { return float64(eng.Stats().Residency.ColdRelations) })
-		reg.CounterFunc("trial_storage_promotions_total", "cold relations promoted to memory",
-			func() uint64 { return eng.Stats().Residency.Promotions })
-		reg.CounterFunc("trial_storage_cold_probes_total", "point reads answered from segment blocks",
-			func() uint64 { return eng.Stats().Residency.ColdProbes })
-		reg.CounterFunc("trial_storage_cold_decodes_total", "uncached full-run decodes from segments",
-			func() uint64 { return eng.Stats().Residency.ColdDecodes })
-		reg.GaugeFunc("trial_storage_block_cache_bytes", "decoded segment blocks held by the probe cache",
-			func() float64 { return float64(eng.Stats().Residency.CacheBytes) })
-		reg.CounterFunc("trial_storage_block_cache_hits_total", "point probes served from cached blocks",
-			func() uint64 { return eng.Stats().Residency.CacheHits })
-		reg.CounterFunc("trial_storage_block_cache_misses_total", "point probes that had to decode a block",
-			func() uint64 { return eng.Stats().Residency.CacheMisses })
-	}
+	// counters sampled from the engine at scrape time. Every server
+	// registers them; a mem server exports zeros, as /v1/stats does.
+	reg.GaugeFunc("trial_storage_wal_bytes", "bytes in the live write-ahead log",
+		func() float64 { return float64(eng.Stats().WALBytes) })
+	reg.CounterFunc("trial_storage_wal_records_total", "records appended to the live WAL",
+		func() uint64 { return eng.Stats().WALRecords })
+	reg.GaugeFunc("trial_storage_segments", "immutable segment files in the current manifest",
+		func() float64 { return float64(eng.Stats().Segments) })
+	reg.GaugeFunc("trial_storage_segment_bytes", "total bytes across manifest segments",
+		func() float64 { return float64(eng.Stats().SegmentBytes) })
+	reg.CounterFunc("trial_storage_flushes_total", "memtable flushes to segment files",
+		func() uint64 { return eng.Stats().Flushes })
+	reg.CounterFunc("trial_storage_compactions_total", "segment-stack compactions",
+		func() uint64 { return eng.Stats().Compactions })
+	reg.GaugeFunc("trial_storage_recovery_ms", "milliseconds the last Open spent recovering",
+		func() float64 { return eng.Stats().RecoveryMillis })
+	reg.GaugeFunc("trial_storage_pinned_generations", "manifest generations pinned by snapshots",
+		func() float64 { return float64(eng.Stats().PinnedGenerations) })
+	// Residency: how much of the store is materialized on the heap
+	// versus served from mapped segment files (WithReadBudget; all
+	// zeros on an eager engine except the -1 budget gauge).
+	reg.GaugeFunc("trial_storage_read_budget_bytes", "residency byte budget (-1 unlimited, 0 fully cold)",
+		func() float64 { return float64(eng.Stats().Residency.Budget) })
+	reg.GaugeFunc("trial_storage_resident_bytes", "estimated heap bytes held by promoted relations",
+		func() float64 { return float64(eng.Stats().Residency.ResidentBytes) })
+	reg.GaugeFunc("trial_storage_resident_relations", "relations materialized in memory",
+		func() float64 { return float64(eng.Stats().Residency.ResidentRelations) })
+	reg.GaugeFunc("trial_storage_cold_relations", "relations served from segment files",
+		func() float64 { return float64(eng.Stats().Residency.ColdRelations) })
+	reg.CounterFunc("trial_storage_promotions_total", "cold relations promoted to memory",
+		func() uint64 { return eng.Stats().Residency.Promotions })
+	reg.CounterFunc("trial_storage_cold_probes_total", "point reads answered from segment blocks",
+		func() uint64 { return eng.Stats().Residency.ColdProbes })
+	reg.CounterFunc("trial_storage_cold_decodes_total", "uncached full-run decodes from segments",
+		func() uint64 { return eng.Stats().Residency.ColdDecodes })
+	reg.GaugeFunc("trial_storage_block_cache_bytes", "decoded segment blocks held by the probe cache",
+		func() float64 { return float64(eng.Stats().Residency.CacheBytes) })
+	reg.CounterFunc("trial_storage_block_cache_hits_total", "point probes served from cached blocks",
+		func() uint64 { return eng.Stats().Residency.CacheHits })
+	reg.CounterFunc("trial_storage_block_cache_misses_total", "point probes that had to decode a block",
+		func() uint64 { return eng.Stats().Residency.CacheMisses })
 
 	reg.GaugeFunc("trial_uptime_seconds", "seconds since server start",
 		func() float64 { return time.Since(start).Seconds() })
@@ -186,7 +159,7 @@ func (m *serverMetrics) observeQuery(lang query.Lang, d time.Duration, err error
 		status = "error"
 	}
 	m.queriesTotal.With(string(lang), status).Inc()
-	m.queryDur.With(string(lang), m.route).Observe(d.Seconds())
+	m.queryDur.With(string(lang)).Observe(d.Seconds())
 }
 
 // observeBatch records one applied ingest batch.

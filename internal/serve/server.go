@@ -33,24 +33,21 @@ const maxIngestBody = 32 << 20
 // cannot stream an unbounded result.
 const DefaultMaxResults = 100000
 
-// Server is the HTTP serving tier: the live store and the query layer
-// shared by all requests, plus the production middleware (auth, rate
-// limiting, per-request deadlines). Queries snapshot the store per
-// version; ingest mutates it through batched store methods, so the two
-// sides never block each other beyond the store's internal writer lock.
-// A Server is an http.Handler; cmd/trialserver mounts one behind
-// http.Server, tests and cmd/trialload drive it directly.
+// Server is the HTTP serving tier over one storage engine (Mem or Disk):
+// the engine and the query layer shared by all requests, plus the
+// production middleware (auth, rate limiting, per-request deadlines).
+// Queries pin a snapshot per store version; ingest goes through the
+// engine's batched write path, so the two sides never block each other
+// beyond the store's internal writer lock. A Server is an http.Handler;
+// cmd/trialserver mounts one behind http.Server, tests and
+// cmd/trialload drive it directly.
 type Server struct {
-	store *triplestore.Store
-	// sharded is non-nil when the store is hash-partitioned (WithShards
-	// > 1): ingest must then go through it so the partitions stay in
-	// lockstep with the union, and queries run partition-parallel.
-	sharded *triplestore.ShardedStore
-	// eng is non-nil when the server fronts a storage engine
-	// (WithStorageEngine): ingest then goes through the engine so every
-	// batch is WAL-durable before it is acknowledged, and Close flushes
-	// and closes the engine after in-flight requests drain.
+	// eng takes every write — on Disk a batch is WAL-durable before it
+	// is acknowledged — and Close flushes and closes it after in-flight
+	// requests drain. store is eng.Store(), the live store point reads
+	// (names, sizes, versions) come from.
 	eng     storage.Engine
+	store   *triplestore.Store
 	q       *query.Querier
 	workers int
 	mux     *http.ServeMux
@@ -71,7 +68,6 @@ type config struct {
 	workers      int
 	rel          string
 	cacheSize    int
-	shards       int
 	slowCap      int
 	threshold    time.Duration
 	pprofOn      bool
@@ -80,7 +76,6 @@ type config struct {
 	rateBurst    int
 	maxResults   int
 	queryTimeout time.Duration
-	storeEng     storage.Engine
 }
 
 // WithWorkers bounds the engine worker pool (minimum 1).
@@ -97,12 +92,6 @@ func WithRelation(rel string) Option {
 // WithCacheSize sets the plan-cache capacity (0 disables caching).
 func WithCacheSize(n int) Option {
 	return func(c *config) { c.cacheSize = n }
-}
-
-// WithShards hash-partitions the store by subject into n shards and
-// executes partition-parallel (1 = flat store).
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
 }
 
 // WithSlowLog sizes the slow-query ring buffer and sets the latency
@@ -152,30 +141,22 @@ func WithQueryTimeout(d time.Duration) Option {
 	return func(c *config) { c.queryTimeout = d }
 }
 
-// WithStorageEngine fronts the server with a storage engine (typically
-// a WAL-backed disk engine): /v1/triples batches go through the engine
-// so they are durable before the response is written, queries pin
-// (version, segment manifest) snapshots, /v1/stats and /v1/metrics gain
-// the storage section, and Close flushes and closes the engine after
-// draining. The engine must be the one the store was opened from;
-// incompatible with WithShards > 1.
-func WithStorageEngine(eng storage.Engine) Option {
-	return func(c *config) { c.storeEng = eng }
-}
-
-// NewStorage builds a Server over a storage engine's store — shorthand
-// for New(eng.Store(), WithStorageEngine(eng), opts...).
-func NewStorage(eng storage.Engine, opts ...Option) *Server {
-	return New(eng.Store(), append([]Option{WithStorageEngine(eng)}, opts...)...)
-}
-
-// New builds a Server over the given store.
+// New builds a Server over an in-memory store: NewStorage over
+// storage.NewMem(store).
 func New(store *triplestore.Store, opts ...Option) *Server {
+	return NewStorage(storage.NewMem(store), opts...)
+}
+
+// NewStorage builds a Server over a storage engine: /v1/triples batches
+// go through the engine (durable before the response is written on
+// Disk), queries pin (version, segment manifest) snapshots, /v1/stats
+// and /v1/metrics report the engine's counters, and Close flushes and
+// closes the engine after draining.
+func NewStorage(eng storage.Engine, opts ...Option) *Server {
 	cfg := config{
 		workers:    runtime.GOMAXPROCS(0),
 		rel:        "E",
 		cacheSize:  query.DefaultCacheSize,
-		shards:     1,
 		slowCap:    128,
 		maxResults: DefaultMaxResults,
 	}
@@ -188,14 +169,13 @@ func New(store *triplestore.Store, opts ...Option) *Server {
 	if cfg.maxResults < 1 {
 		cfg.maxResults = 1
 	}
-	qopts := []query.Option{
-		query.WithRelation(cfg.rel),
-		query.WithCacheSize(cfg.cacheSize),
-		query.WithEngineOptions(engine.WithWorkers(cfg.workers)),
-	}
 	s := &Server{
-		store:        store,
-		eng:          cfg.storeEng,
+		eng:   eng,
+		store: eng.Store(),
+		q: query.NewStorage(eng,
+			query.WithRelation(cfg.rel),
+			query.WithCacheSize(cfg.cacheSize),
+			query.WithEngineOptions(engine.WithWorkers(cfg.workers))),
 		workers:      cfg.workers,
 		mux:          http.NewServeMux(),
 		start:        time.Now(),
@@ -204,21 +184,7 @@ func New(store *triplestore.Store, opts ...Option) *Server {
 		maxResults:   cfg.maxResults,
 		queryTimeout: cfg.queryTimeout,
 	}
-	if s.eng != nil && cfg.shards > 1 {
-		// A sharded store maintains partition copies the engine's WAL knows
-		// nothing about; refusing here beats silently losing durability.
-		panic("serve: WithStorageEngine is incompatible with WithShards > 1")
-	}
-	switch {
-	case cfg.shards > 1:
-		s.sharded = triplestore.Shard(store, cfg.shards)
-		s.q = query.NewSharded(s.sharded, qopts...)
-	case s.eng != nil:
-		s.q = query.NewStorage(s.eng, qopts...)
-	default:
-		s.q = query.New(store, qopts...)
-	}
-	s.m = newServerMetrics(s.q, store, s.sharded, s.eng, s.slow, s.start)
+	s.m = newServerMetrics(s.q, eng, s.slow, s.start)
 	if cfg.rateQPS > 0 {
 		s.limiter = newRateLimiter(cfg.rateQPS, cfg.rateBurst)
 	}
@@ -334,12 +300,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Querier exposes the underlying query layer (cmd/trialload warms it).
 func (s *Server) Querier() *query.Querier { return s.q }
 
-// Sharded returns the sharded store, or nil for a flat server.
-func (s *Server) Sharded() *triplestore.ShardedStore { return s.sharded }
-
-// Storage returns the storage engine the server fronts, or nil.
-func (s *Server) Storage() storage.Engine { return s.eng }
-
 // closeDrainTimeout bounds how long Close waits for in-flight requests
 // before closing the storage engine anyway. Callers normally call Close
 // after http.Server.Shutdown has already drained the listener, so the
@@ -349,21 +309,14 @@ const closeDrainTimeout = 10 * time.Second
 // Close shuts the serving tier down: it waits (bounded) for in-flight
 // requests to finish, releases the query layer's snapshot pin, then
 // flushes and closes the storage engine so the memtable tail lands in a
-// segment and the final WAL records are synced. Without a storage
-// engine it only releases the query layer. Safe to call once after the
-// HTTP listener has stopped accepting work.
+// segment and the final WAL records are synced (on Mem both are no-ops).
+// Safe to call once after the HTTP listener has stopped accepting work.
 func (s *Server) Close() error {
 	deadline := time.Now().Add(closeDrainTimeout)
 	for s.m.httpInFlight.Value() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	err := s.q.Close()
-	if s.eng != nil {
-		if cerr := s.eng.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return errors.Join(s.q.Close(), s.eng.Close())
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -698,18 +651,10 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 			ops[i].Delete = true
 		}
 	}
-	var res triplestore.BatchResult
-	switch {
-	case s.sharded != nil:
-		res, err = s.sharded.ApplyBatch(ops)
-	case s.eng != nil:
-		// Through the storage engine: the batch is WAL-appended (and, per
-		// the engine's sync policy, fsynced) before the store mutates, so
-		// a 200 means the write survives a crash.
-		res, err = s.eng.ApplyBatch(ops)
-	default:
-		res, err = s.store.ApplyBatch(ops)
-	}
+	// On Disk the batch is WAL-appended (and, per the engine's sync
+	// policy, fsynced) before the store mutates, so a 200 means the write
+	// survives a crash.
+	res, err := s.eng.ApplyBatch(ops)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidParam, err.Error(), nil)
 		return
@@ -777,24 +722,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	// Sharding observability: shard count and per-shard triple counts
-	// (the skew bounds the partition-parallel speedup). count = 1 with no
-	// per-shard list means the store is flat.
-	shardInfo := map[string]any{"count": 1}
-	if s.sharded != nil {
-		shardInfo["count"] = s.sharded.NumShards()
-		shardInfo["per_shard"] = s.sharded.ShardStats()
-	}
-	// Storage observability: the backend ("mem" when the server runs on
-	// the plain in-memory store) and, for a disk engine, WAL/segment/
-	// compaction/recovery counters (see storage.Stats).
-	storageInfo := storage.Stats{Backend: "mem"}
-	if s.eng != nil {
-		storageInfo = s.eng.Stats()
-	}
 	json.NewEncoder(w).Encode(map[string]any{
-		"shards":    shardInfo,
-		"storage":   storageInfo,
+		// Storage observability: the backend ("mem" or "disk") and its
+		// WAL/segment/compaction/recovery counters (see storage.Stats;
+		// all zero on mem).
+		"storage":   s.eng.Stats(),
 		"objects":   s.store.NumObjects(),
 		"triples":   s.store.Size(),
 		"relations": s.store.RelationNames(),

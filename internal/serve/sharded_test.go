@@ -13,95 +13,99 @@ import (
 	"repro/internal/fixtures"
 )
 
-func testShardedServer(t *testing.T, shards int) (*Server, *httptest.Server) {
+// The tests in this file keep the names they had when they covered the
+// sharded server. Sharding is gone — the engine's worker pool is the
+// server's one parallel path — so each now runs the same requests
+// against a server with more workers than the test fixture's default.
+
+func testParallelServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(fixtures.Transport(), WithWorkers(2), WithRelation(fixtures.RelE),
-		WithCacheSize(64), WithShards(shards))
+	srv := New(fixtures.Transport(), WithWorkers(workers), WithRelation(fixtures.RelE),
+		WithCacheSize(64))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
 }
 
-// TestShardedServerMatchesFlat runs the same queries against a flat and
-// a sharded server over the same fixture: the bodies must be identical.
+// TestShardedServerMatchesFlat runs the same queries against a
+// sequential and a four-worker server over the same fixture: the bodies
+// must be identical.
 func TestShardedServerMatchesFlat(t *testing.T) {
-	_, flat := testServer(t)
-	_, shard := testShardedServer(t, 4)
+	_, seq := testParallelServer(t, 1)
+	_, par := testParallelServer(t, 4)
 	for _, q := range []string{
 		"/query?q=E",
 		"/query?q=" + url.QueryEscape("join[1,3',3; 2=1'](E, E)"),
 		"/query?lang=rpq&q=" + url.QueryEscape("part_of*"),
 	} {
-		_, wantBody := get(t, flat.URL+q)
-		resp, gotBody := get(t, shard.URL+q)
+		_, wantBody := get(t, seq.URL+q)
+		resp, gotBody := get(t, par.URL+q)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", q, resp.StatusCode, gotBody)
 		}
 		if gotBody != wantBody {
-			t.Errorf("%s: sharded body diverges from flat:\n%s\nvs\n%s", q, gotBody, wantBody)
+			t.Errorf("%s: four-worker body diverges from sequential:\n%s\nvs\n%s", q, gotBody, wantBody)
 		}
 	}
 }
 
-// TestShardedServerStats pins the /stats shard section: shard count and
-// per-shard triple counts that sum to the store size.
+// TestShardedServerStats pins /stats on a four-worker server: it reports
+// its worker count, the mem backend and a triple count that tracks
+// ingest, and it has no shards section.
 func TestShardedServerStats(t *testing.T) {
-	srv, ts := testShardedServer(t, 4)
-	resp, body := get(t, ts.URL+"/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats: %d", resp.StatusCode)
+	srv, ts := testParallelServer(t, 4)
+	type statsBody struct {
+		Storage struct {
+			Backend string `json:"backend"`
+		} `json:"storage"`
+		Triples int             `json:"triples"`
+		Workers int             `json:"workers"`
+		Shards  json.RawMessage `json:"shards"`
 	}
-	var stats struct {
-		Shards struct {
-			Count    int `json:"count"`
-			PerShard []struct {
-				Shard   int `json:"shard"`
-				Triples int `json:"triples"`
-			} `json:"per_shard"`
-		} `json:"shards"`
-		Triples int `json:"triples"`
+	read := func() statsBody {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/stats")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/stats: %d", resp.StatusCode)
+		}
+		var st statsBody
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatalf("/stats unmarshal: %v\n%s", err, body)
+		}
+		return st
 	}
-	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatalf("/stats unmarshal: %v\n%s", err, body)
+	st := read()
+	if st.Workers != 4 || st.Storage.Backend != "mem" {
+		t.Errorf("workers = %d, backend = %q; want 4, mem", st.Workers, st.Storage.Backend)
 	}
-	if stats.Shards.Count != 4 || len(stats.Shards.PerShard) != 4 {
-		t.Fatalf("shards section = %+v", stats.Shards)
+	if st.Triples != srv.store.Size() {
+		t.Errorf("/stats triples = %d, store has %d", st.Triples, srv.store.Size())
 	}
-	total := 0
-	for _, s := range stats.Shards.PerShard {
-		total += s.Triples
-	}
-	if total != stats.Triples {
-		t.Errorf("per-shard triples sum to %d, store has %d", total, stats.Triples)
-	}
-	if srv.sharded == nil {
-		t.Error("server did not shard the store")
+	if st.Shards != nil {
+		t.Errorf("/stats still has a shards section: %s", st.Shards)
 	}
 
-	// Flat servers report count 1 and no per-shard list.
-	_, flatTS := testServer(t)
-	_, flatBody := get(t, flatTS.URL+"/stats")
-	var flatStats struct {
-		Shards struct {
-			Count    int               `json:"count"`
-			PerShard []json.RawMessage `json:"per_shard"`
-		} `json:"shards"`
-	}
-	if err := json.Unmarshal([]byte(flatBody), &flatStats); err != nil {
+	resp, err := http.Post(ts.URL+"/triples", "application/x-ndjson",
+		strings.NewReader(`{"s":"st1","p":"p","o":"st2"}`+"\n"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if flatStats.Shards.Count != 1 || flatStats.Shards.PerShard != nil {
-		t.Errorf("flat shards section = %+v", flatStats.Shards)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /triples: %d", resp.StatusCode)
+	}
+	if got := read().Triples; got != st.Triples+1 {
+		t.Errorf("/stats triples after one insert = %d, want %d", got, st.Triples+1)
 	}
 }
 
 // TestShardedIngestDuringQueries is the server-level batch-boundary
-// race test on a sharded store: concurrent POST /triples batches and
-// /query reads (run with -race); every result size must sit on a batch
-// boundary, and the final count must include every batch.
+// race test on a four-worker server: concurrent POST /triples batches
+// and /query reads (run with -race); every result size must sit on a
+// batch boundary, and the final count must include every batch.
 func TestShardedIngestDuringQueries(t *testing.T) {
 	const batchSize, nBatches = 4, 12
-	srv, ts := testShardedServer(t, 4)
+	srv, ts := testParallelServer(t, 4)
 	base := srv.store.Size()
 
 	var wg sync.WaitGroup
@@ -152,12 +156,9 @@ func TestShardedIngestDuringQueries(t *testing.T) {
 	if want := base + batchSize*nBatches; srv.store.Size() != want {
 		t.Errorf("final store size = %d, want %d", srv.store.Size(), want)
 	}
-	// The ingested triples landed in the partitions too.
-	total := 0
-	for _, s := range srv.sharded.ShardStats() {
-		total += s.Triples
-	}
-	if total != srv.store.Size() {
-		t.Errorf("partitions hold %d triples, union %d", total, srv.store.Size())
+	// A query after the ingest sees every batch.
+	resp, _ := get(t, ts.URL+"/query?q=E&limit=1")
+	if got := resp.Header.Get("X-Trial-Result-Size"); got != fmt.Sprint(srv.store.Size()) {
+		t.Errorf("post-ingest query size = %s, store holds %d", got, srv.store.Size())
 	}
 }

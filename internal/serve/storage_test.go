@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,21 +100,85 @@ func TestServerStorageMemStatsSection(t *testing.T) {
 	if stats.Storage.Backend != "mem" {
 		t.Fatalf("backend = %q, want mem", stats.Storage.Backend)
 	}
-	if err := srv.Close(); err != nil { // no engine: only releases the querier
+	if err := srv.Close(); err != nil { // Mem: closing the engine is a no-op
 		t.Fatal(err)
 	}
 }
 
-func TestServerStorageRejectsSharding(t *testing.T) {
-	eng, err := storage.Open(t.TempDir(), storage.WithSyncPolicy(storage.SyncNone))
-	if err != nil {
-		t.Fatal(err)
+// TestMemServerMatchesStorageServer: New(store) is NewStorage over
+// storage.NewMem(store), so one request script — a paged query walked by
+// cursor, explain, a POST and a DELETE batch, a read after the writes,
+// /v1/stats — answers byte-identical bodies (uptime_s aside) on both,
+// and both export the same metric families, storage ones included.
+func TestMemServerMatchesStorageServer(t *testing.T) {
+	servers := []*Server{
+		New(fixtures.Transport(), WithWorkers(2), WithRelation(fixtures.RelE)),
+		NewStorage(storage.NewMem(fixtures.Transport()), WithWorkers(2), WithRelation(fixtures.RelE)),
 	}
-	defer eng.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithStorageEngine + WithShards > 1 must panic")
+	join := url.QueryEscape("join[1,3',3; 2=1'](E, E)")
+	var transcripts [2][]string
+	var families [2][]string
+	for i, srv := range servers {
+		do := func(method, target, body string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+			if rec.Code != 200 {
+				t.Fatalf("server %d: %s %s: %d %s", i, method, target, rec.Code, rec.Body)
+			}
+			return rec
 		}
-	}()
-	NewStorage(eng, WithShards(4))
+		log := func(rec *httptest.ResponseRecorder) {
+			transcripts[i] = append(transcripts[i], rec.Header().Get("X-Trial-Next-Cursor")+"\n"+rec.Body.String())
+		}
+		walk := func() {
+			pages := 0
+			for target := "/v1/query?limit=2&q=" + join; target != ""; pages++ {
+				rec := do("GET", target, "")
+				log(rec)
+				target = ""
+				if c := rec.Header().Get("X-Trial-Next-Cursor"); c != "" {
+					target = "/v1/query?limit=2&q=" + join + "&cursor=" + url.QueryEscape(c)
+				}
+			}
+			if pages < 2 {
+				t.Fatalf("server %d: %d page(s): the walk never followed a cursor", i, pages)
+			}
+		}
+		walk()
+		log(do("GET", "/v1/explain?q="+join, ""))
+		log(do("POST", "/v1/triples", `{"s":"x","p":"mt","o":"y"}`+"\n"+`{"s":"y","p":"mt","o":"z"}`))
+		log(do("DELETE", "/v1/triples", `{"s":"x","p":"mt","o":"y"}`))
+		walk()
+
+		var stats map[string]any
+		if err := json.Unmarshal(do("GET", "/v1/stats", "").Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		delete(stats, "uptime_s")
+		b, err := json.Marshal(stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		transcripts[i] = append(transcripts[i], string(b))
+
+		for _, line := range strings.Split(do("GET", "/v1/metrics", "").Body.String(), "\n") {
+			if strings.HasPrefix(line, "# TYPE ") {
+				families[i] = append(families[i], strings.Fields(line)[2])
+			}
+		}
+	}
+	if len(transcripts[0]) != len(transcripts[1]) {
+		t.Fatalf("transcripts differ in length: %d vs %d", len(transcripts[0]), len(transcripts[1]))
+	}
+	for j := range transcripts[0] {
+		if transcripts[0][j] != transcripts[1][j] {
+			t.Errorf("response %d differs:\nNew:\n%s\nNewStorage(NewMem):\n%s", j, transcripts[0][j], transcripts[1][j])
+		}
+	}
+	if got, want := strings.Join(families[1], " "), strings.Join(families[0], " "); got != want {
+		t.Errorf("metric families differ:\nNew:        %s\nNewStorage: %s", want, got)
+	}
+	if !slices.Contains(families[0], "trial_storage_wal_bytes") {
+		t.Errorf("a mem server exports no storage families: %v", families[0])
+	}
 }

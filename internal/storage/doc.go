@@ -19,10 +19,9 @@
 // onto "retain these files" — so compaction never deletes a segment out
 // from under a running query.
 //
-// The read contract the execution engine consumes — Index.Leads, Match,
-// relation scans, Stats, snapshot pinning — is documented by AccessPath
-// and satisfied by *triplestore.Store. Both backends hand out ordinary
-// store snapshots, which is why the flat, sharded, merge-join and
-// leapfrog routes run unmodified on either. File formats, the recovery
+// Every Querier and Server runs on an Engine: internal/query pins a
+// snapshot per store version through Engine.Pin and hands it to the
+// execution engine as a plain *triplestore.Store, so every join and star
+// strategy runs unmodified on either backend. File formats, the recovery
 // protocol and fsync tradeoffs are documented in docs/STORAGE.md.
 package storage

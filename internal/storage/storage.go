@@ -6,41 +6,6 @@ import (
 	"repro/internal/triplestore"
 )
 
-// AccessPath is the read contract the execution layer consumes from a
-// pinned snapshot: permutation-index probes (through Relation → Index →
-// Leads/Match), relation scans, dictionary resolution, statistics, and
-// the value assignment. *triplestore.Store satisfies it — both for the
-// live store and for its frozen Snapshot views — and every Engine hands
-// out snapshots as plain stores, so the flat, sharded, merge-join and
-// leapfrog execution strategies run unmodified on either backend.
-type AccessPath interface {
-	// Relation returns the named relation (nil if absent); its Index
-	// method exposes the SPO/POS/OSP access paths (Leads, Match).
-	Relation(name string) *triplestore.Relation
-	// RelationNames returns the relation names in creation order.
-	RelationNames() []string
-	// Lookup, Name and NumObjects resolve the dictionary.
-	Lookup(name string) triplestore.ID
-	Name(id triplestore.ID) string
-	NumObjects() int
-	// Value and SameValue expose the data-value assignment ρ.
-	Value(id triplestore.ID) triplestore.Value
-	SameValue(a, b triplestore.ID) bool
-	// Size, Stats and ActiveDomain feed the optimizer and the engine's
-	// universe computation.
-	Size() int
-	Stats() triplestore.StoreStats
-	ActiveDomain() []triplestore.ID
-	// Version keys caches; Snapshot pins a consistent view (a frozen
-	// store returns itself); IsSnapshot distinguishes the two.
-	Version() uint64
-	Snapshot() *triplestore.Store
-	IsSnapshot() bool
-}
-
-// The in-memory store is the canonical AccessPath implementation.
-var _ AccessPath = (*triplestore.Store)(nil)
-
 // Engine is the storage-engine seam: the mutation path and snapshot
 // lifecycle the query façade, the server and the tools program against,
 // implemented by the in-memory Mem and the durable Disk backends.

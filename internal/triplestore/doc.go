@@ -21,13 +21,4 @@
 // queries. Already-built permutation indexes are carried through either
 // path rather than rebuilt from scratch: merged into on copy-on-write,
 // extended by a sorted overlay per Index on in-place insertion.
-//
-// ShardedStore hash-partitions every relation by subject into a
-// configurable number of shards alongside the authoritative union store,
-// implementing the same mutation/snapshot contract (shadowed mutators
-// fan each write to union and partition under one atomic version;
-// Snapshot freezes both levels copy-on-write). The TriAL* algebra's
-// closure under union makes shard-wise evaluation sound, which
-// internal/engine exploits for partition-parallel execution and
-// internal/proptest pins byte-identical to the flat store.
 package triplestore

@@ -136,14 +136,6 @@ func (r *Relation) buildIndexLocked(perm Perm) *Index {
 	return &Index{perm: perm, triples: sortTriples(ts, perm)}
 }
 
-// IndexTriples materializes an access path over an arbitrary triple
-// slice (which is not modified). The sharded executor uses it to index
-// runtime partitions of derived relations — star bases and other
-// intermediate results that no Relation caches an index for.
-func IndexTriples(ts []Triple, perm Perm) *Index {
-	return &Index{perm: perm, triples: sortTriples(slices.Clone(ts), perm)}
-}
-
 // withAdded returns a new Index that additionally covers t (which must
 // not already be present). The receiver is not modified, so an Index
 // captured by a snapshot or an in-flight query stays consistent.

@@ -8,97 +8,96 @@ import (
 	"testing"
 )
 
-// partitionUnion rebuilds the union of a relation's partitions.
-func partitionUnion(parts []*Relation) *Relation {
-	u := NewRelation()
-	for _, p := range parts {
-		u = Union(u, p)
-	}
-	return u
-}
+// The tests in this file keep the names they had when they covered the
+// subject-partitioned sharded store. That store is gone; each now checks
+// the same property — batch atomicity, snapshot isolation, concurrent
+// batches against snapshots, derived access paths kept in lockstep with
+// the data — on the one Store every engine reads.
 
-// checkPartitionInvariant asserts, for every relation, that the shard
-// partitions are disjoint, correctly routed, and union to exactly the
-// union store's relation.
-func checkPartitionInvariant(t *testing.T, ss *ShardedStore) {
+// checkIndexInvariant asserts, for every relation, that each of the
+// three permutation indexes holds exactly the relation's triples in
+// strictly increasing permutation order, and that a point probe on the
+// leading position finds every triple.
+func checkIndexInvariant(t *testing.T, s *Store) {
 	t.Helper()
-	for _, name := range ss.RelationNames() {
-		rel := ss.Relation(name)
-		parts := ss.ShardRelations(name)
-		if len(parts) != ss.NumShards() {
-			t.Fatalf("%s: %d partitions, want %d", name, len(parts), ss.NumShards())
-		}
-		total := 0
-		for i, p := range parts {
-			total += p.Len()
-			p.ForEach(func(tr Triple) {
-				if ss.ShardOf(tr[0]) != i {
-					t.Errorf("%s: triple %v in shard %d, ShardOf says %d", name, tr, i, ss.ShardOf(tr[0]))
+	for _, name := range s.RelationNames() {
+		rel := s.Relation(name)
+		for _, perm := range []Perm{SPO, POS, OSP} {
+			ix := rel.Index(perm)
+			if ix.Len() != rel.Len() {
+				t.Errorf("%s/%s: index holds %d triples, relation %d", name, perm, ix.Len(), rel.Len())
+			}
+			ts := ix.Triples()
+			for i, tr := range ts {
+				if i > 0 && perm.key(ts[i-1]).Compare(perm.key(tr)) >= 0 {
+					t.Errorf("%s/%s: index not strictly sorted at %d: %v then %v", name, perm, i, ts[i-1], tr)
 				}
 				if !rel.Has(tr) {
-					t.Errorf("%s: partition triple %v missing from union", name, tr)
+					t.Errorf("%s/%s: index triple %v missing from the relation", name, perm, tr)
+				}
+			}
+			rel.ForEach(func(tr Triple) {
+				found := false
+				for _, m := range ix.Match(tr[perm.Lead()]) {
+					found = found || m == tr
+				}
+				if !found {
+					t.Errorf("%s/%s: probe on %v misses %v", name, perm, tr[perm.Lead()], tr)
 				}
 			})
 		}
-		if total != rel.Len() {
-			t.Errorf("%s: partitions hold %d triples, union holds %d", name, total, rel.Len())
-		}
 	}
 }
 
-func TestShardWrapsExistingStore(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 40; i++ {
-		s.Add("E", fmt.Sprintf("s%d", i%13), "p", fmt.Sprintf("o%d", i))
-	}
-	s.Add("F", "a", "b", "c")
-	ss := Shard(s, 4)
-	if ss.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", ss.NumShards())
-	}
-	checkPartitionInvariant(t, ss)
-	// Shard count is clamped, not rejected.
-	if got := Shard(NewStore(), 0).NumShards(); got != 1 {
-		t.Errorf("Shard(.., 0).NumShards() = %d, want 1", got)
-	}
-	if got := Shard(NewStore(), 100000).NumShards(); got != maxShards {
-		t.Errorf("Shard(.., 1e5).NumShards() = %d, want %d", got, maxShards)
-	}
-}
-
+// TestShardedMutationsKeepPartitionsInLockstep: random adds, removes and
+// ID-level writes, with snapshots taken along the way (so writes to
+// frozen relations take the merge path), keep every permutation index in
+// lockstep with its relation — on the live store and on each snapshot.
 func TestShardedMutationsKeepPartitionsInLockstep(t *testing.T) {
-	ss := NewShardedStore(3)
+	s := NewStore()
 	rng := rand.New(rand.NewSource(17))
 	names := make([]string, 20)
 	for i := range names {
 		names[i] = fmt.Sprintf("o%d", i)
 	}
 	pick := func() string { return names[rng.Intn(len(names))] }
+	var snaps []*Store
 	for i := 0; i < 200; i++ {
 		switch rng.Intn(4) {
 		case 0, 1:
-			ss.Add("E", pick(), pick(), pick())
+			s.Add("E", pick(), pick(), pick())
 		case 2:
-			ss.Remove("E", pick(), pick(), pick())
+			// Remove a stored triple: random names would almost never hit.
+			if ts := s.Relation("E").Triples(); len(ts) > 0 {
+				s.RemoveTriple("E", ts[rng.Intn(len(ts))])
+			}
 		default:
-			tr := ss.Add("G", pick(), pick(), pick())
-			ss.RemoveTriple("G", tr)
+			tr := s.Add("G", pick(), pick(), pick())
+			s.RemoveTriple("G", tr)
+		}
+		if i%10 == 0 {
+			snap := s.Snapshot()
+			checkIndexInvariant(t, snap) // warm the indexes the next writes merge into
+			snaps = append(snaps, snap)
 		}
 	}
-	checkPartitionInvariant(t, ss)
+	checkIndexInvariant(t, s)
+	for _, snap := range snaps {
+		checkIndexInvariant(t, snap)
+	}
 
-	// AddTriple with interned IDs routes too.
-	a, b := ss.Intern("x"), ss.Intern("y")
-	ss.AddTriple("E", Triple{a, b, a})
-	checkPartitionInvariant(t, ss)
+	// AddTriple with interned IDs keeps the indexes in step too.
+	a, b := s.Intern("x"), s.Intern("y")
+	s.AddTriple("E", Triple{a, b, a})
+	checkIndexInvariant(t, s)
 }
 
 func TestShardedApplyBatchAtomicAndRouted(t *testing.T) {
-	ss := NewShardedStore(4)
-	ss.Add("E", "a", "p", "b")
-	v0 := ss.Version()
+	s := NewStore()
+	s.Add("E", "a", "p", "b")
+	v0 := s.Version()
 
-	res, err := ss.ApplyBatch([]Op{
+	res, err := s.ApplyBatch([]Op{
 		{Rel: "E", S: "b", P: "p", O: "c"},
 		{Rel: "E", S: "c", P: "p", O: "d"},
 		{Rel: "E", S: "a", P: "p", O: "b"},                // duplicate: no-op
@@ -112,87 +111,85 @@ func TestShardedApplyBatchAtomicAndRouted(t *testing.T) {
 	if res.Added != 3 || res.Removed != 1 {
 		t.Fatalf("BatchResult = %+v, want 3 added 1 removed", res)
 	}
-	if ss.Version() != v0+1 {
-		t.Errorf("version advanced by %d, want 1 (atomic batch)", ss.Version()-v0)
+	if s.Version() != v0+1 {
+		t.Errorf("version advanced by %d, want 1 (atomic batch)", s.Version()-v0)
 	}
-	checkPartitionInvariant(t, ss)
+	checkIndexInvariant(t, s)
 
 	// Delete-then-add of the same triple in one batch nets to present.
-	if _, err := ss.ApplyBatch([]Op{
+	if _, err := s.ApplyBatch([]Op{
 		{Delete: true, Rel: "E", S: "b", P: "p", O: "c"},
 		{Rel: "E", S: "b", P: "p", O: "c"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !ss.Relation("E").Has(Triple{ss.Lookup("b"), ss.Lookup("p"), ss.Lookup("c")}) {
+	if !s.Relation("E").Has(Triple{s.Lookup("b"), s.Lookup("p"), s.Lookup("c")}) {
 		t.Error("delete-then-add batch lost the triple")
 	}
-	checkPartitionInvariant(t, ss)
+	checkIndexInvariant(t, s)
 
 	// An op with an empty relation name rejects the whole batch.
-	if _, err := ss.ApplyBatch([]Op{{S: "a", P: "b", O: "c"}}); err == nil {
+	if _, err := s.ApplyBatch([]Op{{S: "a", P: "b", O: "c"}}); err == nil {
 		t.Error("ApplyBatch accepted an op with no relation")
 	}
 }
 
 func TestShardedApplyNDJSON(t *testing.T) {
-	ss := NewShardedStore(2)
+	s := NewStore()
 	body := `{"s":"a","p":"p","o":"b"}
 {"s":"b","p":"p","o":"c"}
 {"op":"delete","s":"a","p":"p","o":"b"}`
-	res, err := ss.ApplyNDJSON(strings.NewReader(body), "E")
+	res, err := s.ApplyNDJSON(strings.NewReader(body), "E")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Added != 2 || res.Removed != 1 {
 		t.Fatalf("BatchResult = %+v", res)
 	}
-	checkPartitionInvariant(t, ss)
+	if got := s.Relation("E").Len(); got != 1 {
+		t.Errorf("E holds %d triples after the batch, want 1", got)
+	}
+	checkIndexInvariant(t, s)
 }
 
-// TestShardedSnapshotIsolation pins the two-level copy-on-write: a
-// snapshot's partitions never change while the live store keeps
-// mutating, and the snapshot stays internally consistent (partitions
-// union to the snapshot's relations).
+// TestShardedSnapshotIsolation pins copy-on-write: a snapshot's
+// relations never change while the live store keeps mutating, and the
+// snapshot stays internally consistent (its indexes match its
+// relations).
 func TestShardedSnapshotIsolation(t *testing.T) {
-	ss := NewShardedStore(4)
+	s := NewStore()
 	for i := 0; i < 32; i++ {
-		ss.Add("E", fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i))
+		s.Add("E", fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i))
 	}
-	snap := ss.Snapshot()
+	snap := s.Snapshot()
 	if snap.Snapshot() != snap {
 		t.Error("snapshot of a snapshot is not the receiver")
 	}
 	wantSize := snap.Size()
-	wantParts := make(map[int]int)
-	for i, p := range snap.ShardRelations("E") {
-		wantParts[i] = p.Len()
-	}
+	want := snap.FormatRelation(snap.Relation("E"))
 
 	// Mutate the live store heavily: adds, removes, a batch.
 	for i := 0; i < 32; i++ {
-		ss.Add("E", fmt.Sprintf("s%d", i), "q", "new")
+		s.Add("E", fmt.Sprintf("s%d", i), "q", "new")
 	}
-	ss.Remove("E", "s0", "p", "o0")
-	if _, err := ss.ApplyBatch([]Op{{Delete: true, Rel: "E", S: "s1", P: "p", O: "o1"}}); err != nil {
+	s.Remove("E", "s0", "p", "o0")
+	if _, err := s.ApplyBatch([]Op{{Delete: true, Rel: "E", S: "s1", P: "p", O: "o1"}}); err != nil {
 		t.Fatal(err)
 	}
 
 	if snap.Size() != wantSize {
 		t.Errorf("snapshot size changed: %d -> %d", wantSize, snap.Size())
 	}
-	for i, p := range snap.ShardRelations("E") {
-		if p.Len() != wantParts[i] {
-			t.Errorf("snapshot shard %d changed: %d -> %d", i, wantParts[i], p.Len())
-		}
+	if got := snap.FormatRelation(snap.Relation("E")); got != want {
+		t.Errorf("snapshot relation changed:\n%s\nwas:\n%s", got, want)
 	}
-	checkPartitionInvariant(t, snap)
-	checkPartitionInvariant(t, ss)
+	checkIndexInvariant(t, snap)
+	checkIndexInvariant(t, s)
 
-	// Mutating a snapshot panics, exactly like the flat store.
+	// Mutating a snapshot panics.
 	defer func() {
 		if recover() == nil {
-			t.Error("Add on a sharded snapshot did not panic")
+			t.Error("Add on a snapshot did not panic")
 		}
 	}()
 	snap.Add("E", "x", "y", "z")
@@ -200,13 +197,13 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 
 // TestShardedConcurrentBatchesAndSnapshots exercises ApplyBatch racing
 // Snapshot under -race: every snapshot must observe a batch boundary
-// (base size plus a multiple of the batch size) in both the union and
-// the partitions.
+// (base size plus a multiple of the batch size) in both its size and its
+// relation, and its indexes must match its relation.
 func TestShardedConcurrentBatchesAndSnapshots(t *testing.T) {
 	const batchSize, nBatches = 7, 20
-	ss := NewShardedStore(4)
-	ss.Add("E", "seed", "p", "seed2")
-	base := ss.Size()
+	s := NewStore()
+	s.Add("E", "seed", "p", "seed2")
+	base := s.Size()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -217,7 +214,7 @@ func TestShardedConcurrentBatchesAndSnapshots(t *testing.T) {
 			for i := range ops {
 				ops[i] = Op{Rel: "E", S: fmt.Sprintf("s%d-%d", b, i), P: "p", O: "t"}
 			}
-			if _, err := ss.ApplyBatch(ops); err != nil {
+			if _, err := s.ApplyBatch(ops); err != nil {
 				t.Error(err)
 				return
 			}
@@ -228,87 +225,75 @@ func TestShardedConcurrentBatchesAndSnapshots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				snap := ss.Snapshot()
+				snap := s.Snapshot()
 				if extra := snap.Size() - base; extra < 0 || extra%batchSize != 0 {
 					t.Errorf("snapshot saw %d triples: not on a batch boundary", snap.Size())
 					return
 				}
-				total := 0
-				for _, p := range snap.ShardRelations("E") {
-					total += p.Len()
+				if n := snap.Relation("E").Len(); n != snap.Size() {
+					t.Errorf("snapshot relation (%d) diverges from its size (%d)", n, snap.Size())
+					return
 				}
-				if total != snap.Relation("E").Len() {
-					t.Errorf("snapshot partitions (%d) diverge from union (%d)", total, snap.Relation("E").Len())
+				if n := snap.Relation("E").Index(POS).Len(); n != snap.Size() {
+					t.Errorf("snapshot POS index (%d) diverges from its size (%d)", n, snap.Size())
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	checkPartitionInvariant(t, ss)
-	if want := base + batchSize*nBatches; ss.Size() != want {
-		t.Errorf("final size = %d, want %d", ss.Size(), want)
+	checkIndexInvariant(t, s)
+	if want := base + batchSize*nBatches; s.Size() != want {
+		t.Errorf("final size = %d, want %d", s.Size(), want)
 	}
 }
 
-func TestShardOfStableAndBounded(t *testing.T) {
-	ss := NewShardedStore(8)
-	counts := make([]int, 8)
-	for i := 0; i < 4096; i++ {
-		sh := ss.ShardOf(ID(i))
-		if sh != ss.ShardOf(ID(i)) {
-			t.Fatal("ShardOf is not deterministic")
-		}
-		if sh < 0 || sh >= 8 {
-			t.Fatalf("ShardOf out of range: %d", sh)
-		}
-		counts[sh]++
-	}
-	for i, c := range counts {
-		if c < 4096/8/2 || c > 4096/8*2 {
-			t.Errorf("shard %d holds %d of 4096 sequential IDs: badly skewed", i, c)
-		}
-	}
-	// Single-shard stores route everything to shard 0.
-	one := NewShardedStore(1)
-	for i := 0; i < 10; i++ {
-		if one.ShardOf(ID(i)) != 0 {
-			t.Fatal("single-shard ShardOf != 0")
-		}
-	}
-}
-
+// TestShardStats pins the store-level statistics: per-relation
+// cardinalities sum to the store size, the per-position distinct and
+// max-match counts are exact, and a write refreshes them.
 func TestShardStats(t *testing.T) {
-	ss := NewShardedStore(4)
+	s := NewStore()
 	for i := 0; i < 50; i++ {
-		ss.Add("E", fmt.Sprintf("s%d", i), "p", "o")
+		s.Add("E", fmt.Sprintf("s%d", i), "p", "o")
 	}
-	st := ss.ShardStats()
-	if len(st) != 4 {
-		t.Fatalf("ShardStats len = %d", len(st))
-	}
+	s.Add("F", "a", "b", "c")
+	st := s.Stats()
 	total := 0
-	for i, s := range st {
-		if s.Shard != i {
-			t.Errorf("ShardStats[%d].Shard = %d", i, s.Shard)
-		}
-		total += s.Triples
+	for _, name := range s.RelationNames() {
+		total += st.Rel(name).Triples
 	}
-	if total != 50 {
-		t.Errorf("ShardStats total = %d, want 50", total)
+	if total != s.Size() {
+		t.Errorf("relation stats total = %d, store size %d", total, s.Size())
+	}
+	e := st.Rel("E")
+	if e.Triples != 50 || e.Distinct != [3]int{50, 1, 1} || e.MaxMatch != [3]int{1, 50, 50} {
+		t.Errorf("E stats = %+v, want 50 triples, distinct [50 1 1], max match [1 50 50]", e)
+	}
+	s.Add("E", "s0", "p", "o2")
+	if got := s.Stats().Rel("E"); got.Triples != 51 || got.Distinct != [3]int{50, 1, 2} {
+		t.Errorf("E stats after a write = %+v, want 51 triples, distinct [50 1 2]", got)
 	}
 }
 
-// TestShardRelationsLazyForEnsureRelation pins lazy partition creation
-// for relations created through the promoted EnsureRelation.
+// TestShardRelationsLazyForEnsureRelation pins relation creation through
+// EnsureRelation: the relation exists, is empty, has empty indexes, and
+// bumps the version once; a missing relation stays nil.
 func TestShardRelationsLazyForEnsureRelation(t *testing.T) {
-	ss := NewShardedStore(2)
-	ss.EnsureRelation("Empty")
-	parts := ss.ShardRelations("Empty")
-	if len(parts) != 2 || parts[0].Len() != 0 || parts[1].Len() != 0 {
-		t.Fatalf("lazy partitions wrong: %v", parts)
+	s := NewStore()
+	v0 := s.Version()
+	s.EnsureRelation("Empty")
+	rel := s.Relation("Empty")
+	if rel == nil || rel.Len() != 0 || rel.Index(POS).Len() != 0 {
+		t.Fatalf("EnsureRelation built %v, want an empty relation", rel)
 	}
-	if ss.ShardRelations("NoSuch") != nil {
-		t.Error("ShardRelations for a missing relation should be nil")
+	if s.Version() != v0+1 {
+		t.Errorf("version advanced by %d, want 1", s.Version()-v0)
+	}
+	s.EnsureRelation("Empty")
+	if s.Version() != v0+1 {
+		t.Errorf("re-ensuring an existing relation bumped the version")
+	}
+	if s.Relation("NoSuch") != nil {
+		t.Error("Relation for a missing relation should be nil")
 	}
 }
