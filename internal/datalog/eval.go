@@ -26,25 +26,27 @@ func (r *Result) Relation(pred string) (*triplestore.Relation, error) {
 	if a, ok := r.arity[pred]; ok && a != 3 {
 		return nil, fmt.Errorf("datalog: predicate %s has arity %d, not 3", pred, a)
 	}
-	rel := triplestore.NewRelation()
-	for f := range r.facts[pred] {
-		rel.Add(triplestore.Triple(f))
-	}
-	return rel, nil
+	return r.extension(pred), nil
 }
 
 // Tuples returns the extension of a predicate as sorted slices of IDs.
 func (r *Result) Tuples(pred string) [][]triplestore.ID {
 	a := r.arity[pred]
-	rel := triplestore.NewRelation()
-	for f := range r.facts[pred] {
-		rel.Add(triplestore.Triple(f))
-	}
 	var out [][]triplestore.ID
-	for _, t := range rel.Triples() {
+	for _, t := range r.extension(pred).Triples() {
 		out = append(out, append([]triplestore.ID{}, t[:a]...))
 	}
 	return out
+}
+
+// extension returns the facts of pred as a relation; positions past the
+// predicate's arity are zero.
+func (r *Result) extension(pred string) *triplestore.Relation {
+	ts := make([]triplestore.Triple, 0, len(r.facts[pred]))
+	for f := range r.facts[pred] {
+		ts = append(ts, triplestore.Triple(f))
+	}
+	return triplestore.RelationOf(ts...)
 }
 
 // Answers returns the extension of the program's answer predicate.

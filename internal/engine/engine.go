@@ -13,14 +13,14 @@ import (
 
 // Engine evaluates TriAL* expressions over a fixed view of a store. The
 // store handed to New must not change underneath the engine: either pass
-// a triplestore.Store.Snapshot() — an immutable copy-on-write view, the
-// arrangement internal/query uses so ingest can proceed while queries
-// run — or a live store that is not mutated while the engine is in use.
+// a triplestore.Store.Snapshot() — an immutable view, the arrangement
+// internal/query uses so ingest can proceed while queries run — or a live
+// store that is not mutated while the engine is in use.
 // Under that contract an Engine is safe for concurrent Eval calls, which
 // is what cmd/trialserver relies on. Mutating the live store between
 // queries is fine even when the engine wraps it directly: the universal
-// relation is cached per store version, and store-mediated writes keep
-// or invalidate the per-relation access paths themselves.
+// relation is cached per store version, and a store write installs new
+// relations that carry the old ones' access paths over.
 type Engine struct {
 	store      *triplestore.Store
 	workers    int

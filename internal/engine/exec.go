@@ -59,7 +59,7 @@ func (n *projectNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	}
 	// One output triple per input triple: an exactly sized buffer filled
 	// at memory speed, not worth the pool.
-	ts := in.Slice()
+	ts := in.Triples()
 	buf := make([]triplestore.Triple, len(ts))
 	for i, t := range ts {
 		buf[i] = triplestore.Triple{t[n.out[0]], t[n.out[1]], t[n.out[2]]}
@@ -149,7 +149,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	// their access path is the base relation's cached index, and the full
 	// condition is re-checked per candidate pair anyway.
 	probeLeft := func() []triplestore.Triple {
-		lts := l.Slice()
+		lts := l.Triples()
 		if n.hasLCond {
 			lts = filterSlice(lts, n.lCC)
 		}
@@ -171,7 +171,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 		})
 	case joinIndexLeft:
 		probe := n.objKeys[0]
-		rts := r.Slice()
+		rts := r.Triples()
 		if n.hasRCond {
 			rts = filterSlice(rts, n.rCC)
 		}
@@ -214,7 +214,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 			}
 		}), false)
 	case joinHash:
-		rts := r.Slice()
+		rts := r.Triples()
 		if n.hasRCond {
 			rts = filterSlice(rts, n.rCC)
 		}
@@ -244,7 +244,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 			}
 		})
 	default: // joinLoop
-		rts := r.Slice()
+		rts := r.Triples()
 		if n.hasRCond {
 			rts = filterSlice(rts, n.rCC)
 		}
@@ -283,9 +283,7 @@ func (n *starNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 		if n.hasSeed {
 			seed = func(t triplestore.Triple) bool { return n.seedCC.Holds(t, t) }
 		}
-		// The BFS kernel is the Evaluator's and accumulates into a set:
-		// the one operator result that is not a run. Its sorted view is
-		// built when a consumer first asks for it.
+		// The BFS kernel is the Evaluator's; its result is a run too.
 		return trial.ReachClosureCtx(ctx.ctx, base, n.reach, seed)
 	}
 	// The join side of the iteration may be prefiltered by side-only
@@ -428,7 +426,7 @@ func (n *starNode) stepFunc(ctx *execCtx, base *triplestore.Relation) func([]tri
 		ix := base.Index(triplestore.PermFor(basePos))
 		candidates = func(dt triplestore.Triple) []triplestore.Triple { return ix.Match(dt[deltaPos]) }
 	} else {
-		baseTs := base.Slice()
+		baseTs := base.Triples()
 		candidates = func(triplestore.Triple) []triplestore.Triple { return baseTs }
 	}
 	return func(delta []triplestore.Triple) []triplestore.Triple {

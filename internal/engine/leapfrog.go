@@ -369,7 +369,7 @@ func (n *leapfrogNode) enumerate(cands [][]triplestore.Triple, emit func(triples
 		}
 		list := cands[i]
 		if list == nil {
-			list = n.atoms[i].rel.Slice()
+			list = n.atoms[i].rel.Triples()
 		}
 		for _, t := range list {
 			asg[i] = t

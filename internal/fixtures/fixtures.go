@@ -13,8 +13,7 @@ const RelE = "E"
 // Transport returns the RDF database D of Figure 1: cities, transport
 // services between them, and operators of those services.
 func Transport() *triplestore.Store {
-	s := triplestore.NewStore()
-	for _, t := range [][3]string{
+	return storeOf([][3]string{
 		{"St. Andrews", "Bus Op 1", "Edinburgh"},
 		{"Edinburgh", "Train Op 1", "London"},
 		{"London", "Train Op 2", "Brussels"},
@@ -22,34 +21,46 @@ func Transport() *triplestore.Store {
 		{"Train Op 1", "part_of", "EastCoast"},
 		{"Train Op 2", "part_of", "Eurostar"},
 		{"EastCoast", "part_of", "NatExpress"},
-	} {
-		s.Add(RelE, t[0], t[1], t[2])
+	})
+}
+
+// storeOf returns a new store holding the triples in relation RelE.
+func storeOf(ts [][3]string) *triplestore.Store {
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		for _, t := range ts {
+			add(t[0], t[1], t[2])
+		}
+	})
+}
+
+// build inserts the triples gen emits into relation RelE of s, as one
+// batch (ApplyBatch) interning objects in emission order, and returns s.
+func build(s *triplestore.Store, gen func(add func(sub, pred, obj string))) *triplestore.Store {
+	var ops []triplestore.Op
+	gen(func(sub, pred, obj string) {
+		ops = append(ops, triplestore.Op{Rel: RelE, S: sub, P: pred, O: obj})
+	})
+	if _, err := s.ApplyBatch(ops); err != nil {
+		panic(err) // unreachable: ApplyBatch rejects only empty relation names
 	}
 	return s
 }
 
 // D1 returns the first witness document from the proof of Proposition 1:
 // an extension of the Figure 1 database.
-func D1() *triplestore.Store {
-	s := triplestore.NewStore()
-	for _, t := range d1Triples() {
-		s.Add(RelE, t[0], t[1], t[2])
-	}
-	return s
-}
+func D1() *triplestore.Store { return storeOf(d1Triples()) }
 
 // D2 returns the second witness document: D1 without the triple
 // (Edinburgh, Train Op 1, London). The proof of Proposition 1 shows
 // σ(D1) = σ(D2) although Q(D1) ≠ Q(D2).
 func D2() *triplestore.Store {
-	s := triplestore.NewStore()
+	var ts [][3]string
 	for _, t := range d1Triples() {
-		if t == [3]string{"Edinburgh", "Train Op 1", "London"} {
-			continue
+		if t != [3]string{"Edinburgh", "Train Op 1", "London"} {
+			ts = append(ts, t)
 		}
-		s.Add(RelE, t[0], t[1], t[2])
 	}
-	return s
+	return storeOf(ts)
 }
 
 func d1Triples() [][3]string {
@@ -70,11 +81,7 @@ func d1Triples() [][3]string {
 // Example3 returns the store of Example 3, E = {(a,b,c), (c,d,e), (d,e,f)},
 // used to demonstrate that triple joins are not associative.
 func Example3() *triplestore.Store {
-	s := triplestore.NewStore()
-	s.Add(RelE, "a", "b", "c")
-	s.Add(RelE, "c", "d", "e")
-	s.Add(RelE, "d", "e", "f")
-	return s
+	return storeOf([][3]string{{"a", "b", "c"}, {"c", "d", "e"}, {"d", "e", "f"}})
 }
 
 // CompleteStore returns Tn from the proof of Theorem 4: n objects named
@@ -88,14 +95,15 @@ func CompleteStore(n int) *triplestore.Store {
 		names[i] = fmt.Sprintf("o%d", i+1)
 		s.SetValue(names[i], triplestore.V("1"))
 	}
-	for _, a := range names {
-		for _, b := range names {
-			for _, c := range names {
-				s.Add(RelE, a, b, c)
+	return build(s, func(add func(sub, pred, obj string)) {
+		for _, a := range names {
+			for _, b := range names {
+				for _, c := range names {
+					add(a, b, c)
+				}
 			}
 		}
-	}
-	return s
+	})
 }
 
 // StructureA returns structure A from the proof of Theorem 4, part 3:
@@ -111,65 +119,65 @@ func CompleteStore(n int) *triplestore.Store {
 // distinguished by an FO⁴ formula), so the exact bound convention does not
 // affect the reproduced claim as long as A and B are built consistently.
 func StructureA() *triplestore.Store {
-	s := triplestore.NewStore()
 	abc := []string{"a", "b", "c"}
-	for i := 1; i <= 12; i++ {
-		e := fmt.Sprintf("e%d", i)
-		for _, x := range abc {
-			for _, y := range abc {
-				if x != y {
-					s.Add(RelE, x, e, y)
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		for i := 1; i <= 12; i++ {
+			e := fmt.Sprintf("e%d", i)
+			for _, x := range abc {
+				for _, y := range abc {
+					if x != y {
+						add(x, e, y)
+					}
 				}
 			}
 		}
-	}
-	for i := 1; i <= 4; i++ {
-		e := fmt.Sprintf("e%d", i)
-		for j := 1; j <= 9; j++ {
-			d := fmt.Sprintf("d%d", j)
-			for _, x := range abc {
-				s.Add(RelE, x, e, d)
-				s.Add(RelE, d, e, x)
+		for i := 1; i <= 4; i++ {
+			e := fmt.Sprintf("e%d", i)
+			for j := 1; j <= 9; j++ {
+				d := fmt.Sprintf("d%d", j)
+				for _, x := range abc {
+					add(x, e, d)
+					add(d, e, x)
+				}
 			}
 		}
-	}
-	return s
+	})
 }
 
 // StructureB returns structure B from the same proof: the triangle a,b,c
 // is fully connected only through e1..e3, and each pair of {a,b,c} shares
 // its own block of middle objects and d-objects.
 func StructureB() *triplestore.Store {
-	s := triplestore.NewStore()
 	abc := []string{"a", "b", "c"}
-	for i := 1; i <= 3; i++ {
-		e := fmt.Sprintf("e%d", i)
-		for _, x := range abc {
-			for _, y := range abc {
-				if x != y {
-					s.Add(RelE, x, e, y)
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		for i := 1; i <= 3; i++ {
+			e := fmt.Sprintf("e%d", i)
+			for _, x := range abc {
+				for _, y := range abc {
+					if x != y {
+						add(x, e, y)
+					}
 				}
 			}
 		}
-	}
-	add := func(x, y string, iLo, iHi, jLo, jHi int) {
-		for i := iLo; i <= iHi; i++ {
-			e := fmt.Sprintf("e%d", i)
-			s.Add(RelE, x, e, y)
-			s.Add(RelE, y, e, x)
-			for j := jLo; j <= jHi; j++ {
-				d := fmt.Sprintf("d%d", j)
-				s.Add(RelE, x, e, d)
-				s.Add(RelE, d, e, x)
-				s.Add(RelE, y, e, d)
-				s.Add(RelE, d, e, y)
+		pair := func(x, y string, iLo, iHi, jLo, jHi int) {
+			for i := iLo; i <= iHi; i++ {
+				e := fmt.Sprintf("e%d", i)
+				add(x, e, y)
+				add(y, e, x)
+				for j := jLo; j <= jHi; j++ {
+					d := fmt.Sprintf("d%d", j)
+					add(x, e, d)
+					add(d, e, x)
+					add(y, e, d)
+					add(d, e, y)
+				}
 			}
 		}
-	}
-	add("a", "b", 4, 6, 1, 3)
-	add("a", "c", 7, 9, 4, 6)
-	add("b", "c", 10, 12, 7, 9)
-	return s
+		pair("a", "b", 4, 6, 1, 3)
+		pair("a", "c", 7, 9, 4, 6)
+		pair("b", "c", 10, 12, 7, 9)
+	})
 }
 
 // SocialNetwork returns the triplestore of the §2.3 social-network
@@ -195,8 +203,9 @@ func SocialNetwork() *triplestore.Store {
 	conn("c163", "rival", "12-07-89")
 	conn("c137", "brother", "11-11-83")
 	conn("c177", "coworker", "12-07-89")
-	s.Add(RelE, "o175", "c163", "o122")
-	s.Add(RelE, "o175", "c137", "o7521")
-	s.Add(RelE, "o7521", "c177", "o122")
-	return s
+	return build(s, func(add func(sub, pred, obj string)) {
+		add("o175", "c163", "o122")
+		add("o175", "c137", "o7521")
+		add("o7521", "c177", "o122")
+	})
 }

@@ -25,16 +25,32 @@ func Random(rng *rand.Rand, nObjects, nTriples, numValues int) *triplestore.Stor
 			s.Intern(ids[i])
 		}
 	}
-	r := s.EnsureRelation(RelE)
+	s.EnsureRelation(RelE)
 	max := nObjects * nObjects * nObjects
 	if nTriples > max {
 		nTriples = max
 	}
-	for r.Len() < nTriples {
-		s.Add(RelE,
-			ids[rng.Intn(nObjects)],
-			ids[rng.Intn(nObjects)],
-			ids[rng.Intn(nObjects)])
+	return build(s, func(add func(sub, pred, obj string)) {
+		seen := make(map[[3]int]bool, nTriples)
+		for len(seen) < nTriples {
+			t := [3]int{rng.Intn(nObjects), rng.Intn(nObjects), rng.Intn(nObjects)}
+			if !seen[t] {
+				seen[t] = true
+				add(ids[t[0]], ids[t[1]], ids[t[2]])
+			}
+		}
+	})
+}
+
+// build inserts the triples gen emits into relation RelE of s, as one
+// batch (ApplyBatch) interning objects in emission order, and returns s.
+func build(s *triplestore.Store, gen func(add func(sub, pred, obj string))) *triplestore.Store {
+	var ops []triplestore.Op
+	gen(func(sub, pred, obj string) {
+		ops = append(ops, triplestore.Op{Rel: RelE, S: sub, P: pred, O: obj})
+	})
+	if _, err := s.ApplyBatch(ops); err != nil {
+		panic(err) // unreachable: ApplyBatch rejects only empty relation names
 	}
 	return s
 }
@@ -43,49 +59,43 @@ func Random(rng *rand.Rand, nObjects, nTriples, numValues int) *triplestore.Stor
 // using numLabels distinct predicates round-robin (1 label makes every
 // edge share a predicate, the worst case for same-label reachability).
 func Chain(n, numLabels int) *triplestore.Store {
-	s := triplestore.NewStore()
 	if numLabels < 1 {
 		numLabels = 1
 	}
-	for i := 0; i < n; i++ {
-		s.Add(RelE,
-			fmt.Sprintf("o%d", i),
-			fmt.Sprintf("p%d", i%numLabels),
-			fmt.Sprintf("o%d", i+1))
-	}
-	return s
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		for i := 0; i < n; i++ {
+			add(fmt.Sprintf("o%d", i), fmt.Sprintf("p%d", i%numLabels), fmt.Sprintf("o%d", i+1))
+		}
+	})
 }
 
 // Cycle returns a store with a single directed cycle of n objects sharing
 // one predicate.
 func Cycle(n int) *triplestore.Store {
-	s := triplestore.NewStore()
-	for i := 0; i < n; i++ {
-		s.Add(RelE,
-			fmt.Sprintf("o%d", i),
-			"p",
-			fmt.Sprintf("o%d", (i+1)%n))
-	}
-	return s
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		for i := 0; i < n; i++ {
+			add(fmt.Sprintf("o%d", i), "p", fmt.Sprintf("o%d", (i+1)%n))
+		}
+	})
 }
 
 // Grid returns a store whose objects form a w × h grid with right and down
 // edges, each labeled with its direction. Grids give quadratic-size
 // reachability sets, a stress case for star evaluation.
 func Grid(w, h int) *triplestore.Store {
-	s := triplestore.NewStore()
 	name := func(x, y int) string { return fmt.Sprintf("g%d_%d", x, y) }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w {
-				s.Add(RelE, name(x, y), "right", name(x+1, y))
-			}
-			if y+1 < h {
-				s.Add(RelE, name(x, y), "down", name(x, y+1))
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if x+1 < w {
+					add(name(x, y), "right", name(x+1, y))
+				}
+				if y+1 < h {
+					add(name(x, y), "down", name(x, y+1))
+				}
 			}
 		}
-	}
-	return s
+	})
 }
 
 // Layered returns a DAG of depth layers with width objects per layer and
@@ -93,19 +103,19 @@ func Grid(w, h int) *triplestore.Store {
 // random predicate objects. All predicates are fresh objects, exercising
 // the triple-as-node character of RDF.
 func Layered(rng *rand.Rand, depth, width, fanout int) *triplestore.Store {
-	s := triplestore.NewStore()
 	name := func(l, i int) string { return fmt.Sprintf("n%d_%d", l, i) }
-	pred := 0
-	for l := 0; l < depth-1; l++ {
-		for i := 0; i < width; i++ {
-			for f := 0; f < fanout; f++ {
-				j := rng.Intn(width)
-				s.Add(RelE, name(l, i), fmt.Sprintf("q%d", pred%(width*2+1)), name(l+1, j))
-				pred++
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		pred := 0
+		for l := 0; l < depth-1; l++ {
+			for i := 0; i < width; i++ {
+				for f := 0; f < fanout; f++ {
+					j := rng.Intn(width)
+					add(name(l, i), fmt.Sprintf("q%d", pred%(width*2+1)), name(l+1, j))
+					pred++
+				}
 			}
 		}
-	}
-	return s
+	})
 }
 
 // Transport returns a synthetic transport network in the style of
@@ -114,25 +124,25 @@ func Layered(rng *rand.Rand, depth, width, fanout int) *triplestore.Store {
 // chains of length up to holdDepth via part_of. The TriAL* query Q of the
 // paper ("same company reachability") is the intended workload.
 func Transport(rng *rand.Rand, nCities, nCompanies, holdDepth int) *triplestore.Store {
-	s := triplestore.NewStore()
 	if nCompanies < 1 {
 		nCompanies = 1
 	}
-	for i := 0; i < nCities-1; i++ {
-		svc := fmt.Sprintf("svc%d", i)
-		comp := fmt.Sprintf("comp%d", rng.Intn(nCompanies))
-		s.Add(RelE, fmt.Sprintf("city%d", i), svc, fmt.Sprintf("city%d", i+1))
-		s.Add(RelE, svc, "part_of", comp)
-	}
-	for c := 0; c < nCompanies; c++ {
-		cur := fmt.Sprintf("comp%d", c)
-		for d := 1; d <= rng.Intn(holdDepth+1); d++ {
-			parent := fmt.Sprintf("hold%d_%d", c, d)
-			s.Add(RelE, cur, "part_of", parent)
-			cur = parent
+	return build(triplestore.NewStore(), func(add func(sub, pred, obj string)) {
+		for i := 0; i < nCities-1; i++ {
+			svc := fmt.Sprintf("svc%d", i)
+			comp := fmt.Sprintf("comp%d", rng.Intn(nCompanies))
+			add(fmt.Sprintf("city%d", i), svc, fmt.Sprintf("city%d", i+1))
+			add(svc, "part_of", comp)
 		}
-	}
-	return s
+		for c := 0; c < nCompanies; c++ {
+			cur := fmt.Sprintf("comp%d", c)
+			for d := 1; d <= rng.Intn(holdDepth+1); d++ {
+				parent := fmt.Sprintf("hold%d_%d", c, d)
+				add(cur, "part_of", parent)
+				cur = parent
+			}
+		}
+	})
 }
 
 // Social returns a synthetic social network in the style of §2.3: nUsers
@@ -158,16 +168,17 @@ func Social(rng *rand.Rand, nUsers, nEdges, numTypes, numDates int) *triplestore
 	if numDates < 1 {
 		numDates = 1
 	}
-	for i := 0; i < nEdges; i++ {
-		c := fmt.Sprintf("c%d", i)
-		s.SetValue(c, triplestore.Value{
-			null, null, null,
-			triplestore.F(fmt.Sprintf("type%d", rng.Intn(numTypes))),
-			triplestore.F(fmt.Sprintf("date%d", rng.Intn(numDates))),
-		})
-		a := users[rng.Intn(nUsers)]
-		b := users[rng.Intn(nUsers)]
-		s.Add(RelE, a, c, b)
-	}
-	return s
+	return build(s, func(add func(sub, pred, obj string)) {
+		for i := 0; i < nEdges; i++ {
+			c := fmt.Sprintf("c%d", i)
+			s.SetValue(c, triplestore.Value{
+				null, null, null,
+				triplestore.F(fmt.Sprintf("type%d", rng.Intn(numTypes))),
+				triplestore.F(fmt.Sprintf("date%d", rng.Intn(numDates))),
+			})
+			a := users[rng.Intn(nUsers)]
+			b := users[rng.Intn(nUsers)]
+			add(a, c, b)
+		}
+	})
 }

@@ -11,12 +11,12 @@ import (
 
 // Scale-tier dataset generators: deterministic, seeded graph families
 // sized in the hundreds of thousands to tens of millions of triples.
-// Unlike the fixture-sized constructors above, these do not call
-// Store.Add per triple: Build encodes the stream as NDJSON batches and
-// feeds them through Store.ApplyNDJSON — the same wire path the server's
-// bulk ingest uses — so loading a bench store exercises the ingest tier
-// (scanner buffers, batch atomicity, one version bump per batch) at the
-// same scale as the queries that follow.
+// Unlike the fixture-sized constructors, which apply their triples as one
+// ApplyBatch, Build encodes the stream as NDJSON batches and feeds them
+// through Store.ApplyNDJSON — the same wire path the server's bulk ingest
+// uses — so loading a bench store exercises the ingest tier (scanner
+// buffers, batch atomicity, one version bump per batch) at the same scale
+// as the queries that follow.
 
 // ScaleGen is a deterministic recipe for a scale-tier store.
 type ScaleGen struct {

@@ -157,8 +157,12 @@ func (g *Graph) ToTriplestore() *triplestore.Store {
 	for _, l := range g.Labels() {
 		s.Intern(l)
 	}
+	var ops []triplestore.Op
 	for _, e := range g.Edges() {
-		s.Add(RelE, e.Src, e.Label, e.Dst)
+		ops = append(ops, triplestore.Op{Rel: RelE, S: e.Src, P: e.Label, O: e.Dst})
+	}
+	if _, err := s.ApplyBatch(ops); err != nil {
+		panic(err) // unreachable: ApplyBatch rejects only empty relation names
 	}
 	for v, val := range g.values {
 		s.SetValue(v, val)

@@ -24,7 +24,7 @@ type Route struct {
 // optimized and not), the forced physical-join policies (binary-only,
 // leapfrog triejoin, sort-merge), and a sequential engine over a frozen
 // Snapshot of s — the arrangement every Querier runs, where relations are
-// copy-on-write views rather than the live store's.
+// the snapshot's rather than the live store's.
 func Routes(s *triplestore.Store) []Route {
 	ev := trial.NewEvaluator(s)
 	return []Route{

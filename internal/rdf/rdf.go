@@ -85,11 +85,17 @@ func (d *Document) Sigma() *graph.Graph {
 }
 
 // ToStore builds the triplestore representation of the document: a single
-// ternary relation holding the triples (the triplestore view of §2.2).
+// ternary relation, named rel (non-empty), holding the triples (the
+// triplestore view of §2.2).
 func (d *Document) ToStore(rel string) *triplestore.Store {
 	s := triplestore.NewStore()
-	for _, t := range d.Triples() {
-		s.Add(rel, t.S, t.P, t.O)
+	ts := d.Triples()
+	ops := make([]triplestore.Op, len(ts))
+	for i, t := range ts {
+		ops[i] = triplestore.Op{Rel: rel, S: t.S, P: t.P, O: t.O}
+	}
+	if _, err := s.ApplyBatch(ops); err != nil {
+		panic(err) // an empty rel: ApplyBatch rejects nothing else
 	}
 	return s
 }

@@ -163,6 +163,19 @@ func Open(dir string, opts ...Option) (*Disk, error) {
 	e.tracker = tracker
 	e.durableDictLen = man.DictLen
 
+	// Consecutive batch records replay as one batch: one merge per
+	// relation for the whole run of records instead of one per record,
+	// with the same per-op effects. A value record ends the run, so
+	// objects are interned in log order.
+	var group []triplestore.Op
+	applyGroup := func() error {
+		if len(group) == 0 {
+			return nil
+		}
+		_, err := store.ApplyBatchFunc(group, e.overlayEffect)
+		group = group[:0]
+		return err
+	}
 	walPath := filepath.Join(dir, man.WALFile)
 	validSize, lastSeq, _, err := replayWAL(walPath, func(seq uint64, payload []byte) error {
 		if seq <= man.WALSeqFloor {
@@ -174,16 +187,20 @@ func Open(dir string, opts ...Option) (*Disk, error) {
 		}
 		switch ent.kind {
 		case walKindBatch:
-			if _, aerr := store.ApplyBatchFunc(ent.ops, e.overlayEffect); aerr != nil {
-				return aerr
-			}
+			group = append(group, ent.ops...)
 		case walKindValue:
+			if err := applyGroup(); err != nil {
+				return err
+			}
 			id := store.SetValue(ent.name, ent.val)
 			e.dirtyVals[id] = struct{}{}
 		}
 		e.walReplayed++
 		return nil
 	})
+	if err == nil {
+		err = applyGroup()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: WAL replay: %w", err)
 	}

@@ -15,8 +15,8 @@
 // index) when it crosses a size threshold; a background compactor folds
 // the segment stack into a single checkpoint; and a manifest, replaced
 // atomically, names the live segment set and the WAL tail. Snapshots pin
-// the manifest generation — Store.Snapshot's copy-on-write semantics map
-// onto "retain these files" — so compaction never deletes a segment out
+// the manifest generation — Store.Snapshot's immutability maps onto
+// "retain these files" — so compaction never deletes a segment out
 // from under a running query.
 //
 // Every Querier and Server runs on an Engine: internal/query pins a

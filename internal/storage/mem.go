@@ -24,7 +24,7 @@ func NewMem(s *triplestore.Store) *Mem {
 // Store returns the underlying live store.
 func (m *Mem) Store() *triplestore.Store { return m.store }
 
-// Snapshot returns an immutable copy-on-write view.
+// Snapshot returns an immutable view.
 func (m *Mem) Snapshot() *triplestore.Store { return m.store.Snapshot() }
 
 // Pin returns a snapshot; there are no files to retain, so the release

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/triplestore"
 )
@@ -279,6 +281,98 @@ func TestEagerSegmentStackRecoversRunBacked(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n > 1024 {
 			t.Errorf("relation %s (%d triples): first view and index reads allocated %d bytes; want its runs installed at open",
 				name, r.Len(), n)
+		}
+	}
+}
+
+// TestRecoveryGroupsBatchRecords: a WAL tail of 10k one-triple records —
+// inserts, deletes of checkpointed triples, re-inserts, and value records
+// between them — over a 100k-triple checkpoint recovers exactly the live
+// store, replaying each run of batch records as one batch. Closing the
+// recovered engine flushes its overlay, so a second reopen checks that
+// the replay left the same per-op overlay the live engine had.
+func TestRecoveryGroupsBatchRecords(t *testing.T) {
+	const base, tail = 100_000, 10_000
+	ops := make([]triplestore.Op, base)
+	for i := range ops {
+		ops[i] = triplestore.Op{Rel: "E", S: fmt.Sprintf("s%d", i%5000), P: fmt.Sprintf("p%d", i%7), O: fmt.Sprintf("o%d", i)}
+	}
+	src := triplestore.NewStore()
+	if _, err := src.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	eng, err := CreateFrom(dir, src, WithSyncPolicy(SyncNone), WithFlushBytes(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tail; i++ {
+		op := triplestore.Op{Rel: "E", S: fmt.Sprintf("t%d", i%300), P: "q", O: fmt.Sprintf("o%d", i)}
+		switch i % 4 {
+		case 1:
+			op = ops[(i*37)%base]
+			op.Delete = true
+		case 2:
+			op = ops[((i-1)*37)%base] // re-insert what the previous record deleted
+		}
+		if i%2000 == 999 {
+			if err := eng.SetValue(fmt.Sprintf("v%d", i), triplestore.V(fmt.Sprint(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.ApplyBatch([]triplestore.Op{op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashed := copyDirShallow(t, dir) // the WAL tail is not flushed
+	want := eng.Store().Clone()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	re, err := Open(crashed, WithSyncPolicy(SyncNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("replayed %d WAL records over %d triples in %v", re.Stats().WALReplayed, base, time.Since(start))
+	if n := re.Stats().WALReplayed; n != tail+tail/2000 {
+		t.Fatalf("replayed %d records, want %d", n, tail+tail/2000)
+	}
+	assertSameContent(t, re.Store(), want)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.WALReplayed != 0 {
+		t.Fatalf("stats = %+v: the flushed overlay left a WAL tail", st)
+	}
+	assertSameContent(t, re.Store(), want)
+}
+
+// assertSameContent is assertStoresEqual for large stores: the same
+// dictionary, values and relations, compared as ID runs.
+func assertSameContent(t *testing.T, got, want *triplestore.Store) {
+	t.Helper()
+	if got.NumObjects() != want.NumObjects() {
+		t.Fatalf("NumObjects = %d, want %d", got.NumObjects(), want.NumObjects())
+	}
+	for i := 0; i < want.NumObjects(); i++ {
+		id := triplestore.ID(i)
+		if got.Name(id) != want.Name(id) || !got.Value(id).Equal(want.Value(id)) {
+			t.Fatalf("object %d = %q %v, want %q %v", i, got.Name(id), got.Value(id), want.Name(id), want.Value(id))
+		}
+	}
+	if !slices.Equal(got.RelationNames(), want.RelationNames()) {
+		t.Fatalf("relations %v, want %v", got.RelationNames(), want.RelationNames())
+	}
+	for _, name := range want.RelationNames() {
+		if !slices.Equal(got.Relation(name).Triples(), want.Relation(name).Triples()) {
+			t.Fatalf("relation %q: %d triples differ from the live store's %d", name, got.Relation(name).Len(), want.Relation(name).Len())
 		}
 	}
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"testing"
 
+	"repro/internal/trial"
+
 	"repro/internal/triplestore"
 )
 
@@ -253,11 +255,11 @@ func TestSegReaderMutationForcesResidency(t *testing.T) {
 	}
 }
 
-// TestSegReaderCloneMutationStaysCold pins the promotion boundary:
-// evaluators clone base relations and mutate the clones (every reach
-// fixpoint seeds this way), and that must NOT flip the store's relation
-// to resident — the clone's working set belongs to the query. Only a
-// store-mediated write promotes (TestSegReaderMutationForcesResidency).
+// TestSegReaderCloneMutationStaysCold pins the promotion boundary: an
+// evaluator's fixpoint over a cold relation — the reach kernel and the
+// generic star, each seeding its result from the base — must NOT flip the
+// store's relation to resident: the working set belongs to the query. Only
+// a store-mediated write promotes (TestSegReaderMutationForcesResidency).
 func TestSegReaderCloneMutationStaysCold(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := Open(dir, WithSyncPolicy(SyncNone))
@@ -274,14 +276,22 @@ func TestSegReaderCloneMutationStaysCold(t *testing.T) {
 	}
 	defer cold.Close()
 	name := cold.Store().RelationNames()[0]
-	r := cold.Store().Relation(name)
-	clone := r.Clone()
-	clone.Add(triplestore.Triple{1, 2, 3})
-	if !r.SourceBacked() {
-		t.Fatalf("relation %q lost its source after a clone mutation", name)
+	for _, generic := range []bool{false, true} {
+		ev := trial.NewEvaluator(cold.Snapshot())
+		ev.DisableReachStar = generic
+		res, err := ev.Eval(trial.ReachRight(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() < cold.Store().Relation(name).Len() {
+			t.Fatalf("star over %q has %d triples, fewer than its base", name, res.Len())
+		}
+	}
+	if !cold.Store().Relation(name).SourceBacked() {
+		t.Fatalf("relation %q lost its source after evaluator fixpoints", name)
 	}
 	if st := cold.Stats().Residency; st.Promotions != 0 || st.ResidentRelations != 0 {
-		t.Fatalf("residency = %+v: a clone mutation promoted the store's relation", st)
+		t.Fatalf("residency = %+v: an evaluator fixpoint promoted the store's relation", st)
 	}
 }
 

@@ -46,15 +46,17 @@ func CrossEqualityKeyFuncs(s *triplestore.Store, c Cond) (left, right func(tripl
 // complements cannot desynchronize.
 func ComputeUniverse(s *triplestore.Store) *triplestore.Relation {
 	dom := s.ActiveDomain()
-	u := triplestore.NewRelationCap(len(dom) * len(dom) * len(dom))
+	u := make([]triplestore.Triple, 0, len(dom)*len(dom)*len(dom))
 	for _, a := range dom {
 		for _, b := range dom {
 			for _, c := range dom {
-				u.Add(triplestore.Triple{a, b, c})
+				u = append(u, triplestore.Triple{a, b, c})
 			}
 		}
 	}
-	return u
+	// The domain is ascending, so the nested loops emit a strictly
+	// sorted run.
+	return triplestore.RelationFromRun(u)
 }
 
 // At returns the object at position p of the flattened join pair

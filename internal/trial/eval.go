@@ -67,13 +67,14 @@ func (ev *Evaluator) Eval(e Expr) (*triplestore.Relation, error) {
 			return nil, err
 		}
 		ce := compileCond(ev.store, x.Cond)
-		out := triplestore.NewRelation()
+		var out []triplestore.Triple
 		in.ForEach(func(t triplestore.Triple) {
 			if ce.holds(t, t) {
-				out.Add(t)
+				out = append(out, t)
 			}
 		})
-		return out, nil
+		// A subset of a sorted run, kept in order, is a sorted run.
+		return triplestore.RelationFromRun(out), nil
 	case Union:
 		l, err := ev.Eval(x.L)
 		if err != nil {
@@ -150,15 +151,15 @@ func (ev *Evaluator) join(l, r *triplestore.Relation, out [3]Pos, cond Cond) *tr
 // check the condition, emit the projected triple. O(|l|·|r|).
 func (ev *Evaluator) naiveJoin(l, r *triplestore.Relation, out [3]Pos, cond Cond) *triplestore.Relation {
 	ce := compileCond(ev.store, cond)
-	res := triplestore.NewRelation()
+	var res collector
 	for _, lt := range l.Triples() {
 		for _, rt := range r.Triples() {
 			if ce.holds(lt, rt) {
-				res.Add(project(out, lt, rt))
+				res.add(project(out, lt, rt))
 			}
 		}
 	}
-	return res
+	return res.relation()
 }
 
 // hashJoin builds a hash index over the right operand keyed by the
@@ -171,7 +172,7 @@ func (ev *Evaluator) naiveJoin(l, r *triplestore.Relation, out [3]Pos, cond Cond
 func (ev *Evaluator) hashJoin(l, r *triplestore.Relation, out [3]Pos, cond Cond) *triplestore.Relation {
 	lKey, rKey := crossEqualityKeys(ev.store, cond)
 	ce := compileCond(ev.store, cond)
-	res := triplestore.NewRelation()
+	var res collector
 
 	index := make(map[string][]triplestore.Triple, r.Len())
 	r.ForEach(func(rt triplestore.Triple) {
@@ -181,11 +182,37 @@ func (ev *Evaluator) hashJoin(l, r *triplestore.Relation, out [3]Pos, cond Cond)
 	l.ForEach(func(lt triplestore.Triple) {
 		for _, rt := range index[lKey(lt)] {
 			if ce.holds(lt, rt) {
-				res.Add(project(out, lt, rt))
+				res.add(project(out, lt, rt))
 			}
 		}
 	})
-	return res
+	return res.relation()
+}
+
+// collector accumulates an operator's result: seen answers membership
+// while the result grows, ts lists the distinct triples in derivation
+// order, and relation sorts them once into the result run.
+type collector struct {
+	seen map[triplestore.Triple]struct{}
+	ts   []triplestore.Triple
+}
+
+// add records t and reports whether it is new.
+func (c *collector) add(t triplestore.Triple) bool {
+	if _, ok := c.seen[t]; ok {
+		return false
+	}
+	if c.seen == nil {
+		c.seen = make(map[triplestore.Triple]struct{})
+	}
+	c.seen[t] = struct{}{}
+	c.ts = append(c.ts, t)
+	return true
+}
+
+// relation adopts the collected triples as the result run; c is spent.
+func (c *collector) relation() *triplestore.Relation {
+	return triplestore.RelationFromRun(triplestore.SortDedupe(c.ts))
 }
 
 // crossEqualityKeys derives key functions for the two sides of a join from
@@ -274,7 +301,8 @@ func project(out [3]Pos, lt, rt triplestore.Triple) triplestore.Triple {
 // result is a subset of O³ (the paper's Procedure 2 caps iterations at n³
 // for the same reason).
 func (ev *Evaluator) fixpointStar(base *triplestore.Relation, st Star) *triplestore.Relation {
-	result := base.Clone()
+	var result collector
+	base.ForEach(func(t triplestore.Triple) { result.add(t) })
 	frontier := base
 	for frontier.Len() > 0 {
 		var derived *triplestore.Relation
@@ -283,15 +311,11 @@ func (ev *Evaluator) fixpointStar(base *triplestore.Relation, st Star) *triplest
 		} else {
 			derived = ev.join(frontier, base, st.Out, st.Cond)
 		}
-		next := triplestore.NewRelation()
-		derived.ForEach(func(t triplestore.Triple) {
-			if result.Add(t) {
-				next.Add(t)
-			}
-		})
-		frontier = next
+		start := len(result.ts)
+		derived.ForEach(func(t triplestore.Triple) { result.add(t) })
+		frontier = triplestore.RelationOf(result.ts[start:]...)
 	}
-	return result
+	return result.relation()
 }
 
 type reachKind int
@@ -351,10 +375,11 @@ func reachStarKind(st Star) reachKind {
 // The engine uses this to hoist such selections out of the fixpoint.
 //
 // ctx is polled every 256 seed triples: once it is done the remaining
-// sources are skipped, so a cancelled closure stops burning CPU quickly
-// without putting a branch on every BFS edge. Callers that observe
-// ctx.Err() afterwards must discard the (partial) result; the evaluator
-// passes context.Background() and keeps the exact reference semantics.
+// sources are skipped and nothing is sorted (the result is nil), so a
+// cancelled closure stops burning CPU quickly without putting a branch
+// on every BFS edge. Callers that observe ctx.Err() afterwards must
+// discard the result; the evaluator passes context.Background() and
+// keeps the exact reference semantics.
 func reachClosure(ctx context.Context, base *triplestore.Relation, kind reachKind, seed func(triplestore.Triple) bool) *triplestore.Relation {
 	polled, cancelled := 0, false
 	done := func() bool {
@@ -366,16 +391,12 @@ func reachClosure(ctx context.Context, base *triplestore.Relation, kind reachKin
 		}
 		return cancelled
 	}
-	var result *triplestore.Relation
 	if seed == nil {
-		// BFS from t's endpoint includes the endpoint itself (a length-0
-		// path), so every base triple re-derives; cloning just skips the
-		// per-triple Add work.
-		result = base.Clone()
 		seed = func(triplestore.Triple) bool { return true }
-	} else {
-		result = triplestore.NewRelation()
 	}
+	// BFS from a triple's endpoint includes the endpoint itself (a
+	// length-0 path), so every seeding base triple re-derives itself.
+	var result []triplestore.Triple
 	switch kind {
 	case reachAny:
 		adj := make(map[triplestore.ID][]triplestore.ID)
@@ -388,7 +409,7 @@ func reachClosure(ctx context.Context, base *triplestore.Relation, kind reachKin
 				return
 			}
 			for _, l := range reach.from(t[2]) {
-				result.Add(triplestore.Triple{t[0], t[1], l})
+				result = append(result, triplestore.Triple{t[0], t[1], l})
 			}
 		})
 	case reachSameLabel:
@@ -412,11 +433,14 @@ func reachClosure(ctx context.Context, base *triplestore.Relation, kind reachKin
 				caches[t[1]] = rc
 			}
 			for _, l := range rc.from(t[2]) {
-				result.Add(triplestore.Triple{t[0], t[1], l})
+				result = append(result, triplestore.Triple{t[0], t[1], l})
 			}
 		})
 	}
-	return result
+	if cancelled {
+		return nil // partial: the caller reports ctx.Err() instead
+	}
+	return triplestore.RelationFromRun(triplestore.SortDedupe(result))
 }
 
 // reachCache memoizes per-source BFS over an adjacency map.

@@ -118,9 +118,9 @@ func (c *bitcube) count() int {
 }
 
 func (c *bitcube) toRelation() *triplestore.Relation {
-	r := triplestore.NewRelation()
-	c.forEach(func(t triplestore.Triple) { r.Add(t) })
-	return r
+	var ts []triplestore.Triple
+	c.forEach(func(t triplestore.Triple) { ts = append(ts, t) })
+	return triplestore.RelationOf(ts...)
 }
 
 func (mv *MatrixEvaluator) fromRelation(r *triplestore.Relation) *bitcube {

@@ -50,11 +50,9 @@ func (s *Store) ApplyBatch(ops []Op) (BatchResult, error) {
 // durable storage engine uses it to maintain its flush overlay (which
 // triples the next segment must contain) without diffing snapshots.
 //
-// Relations no snapshot holds are mutated in place, op by op. A frozen
-// relation is left untouched: the batch records the membership of every
-// triple it touches there, and at the end replaces the relation by one
-// merge of the net delta into its runs (copy-on-write by merge, see
-// Store).
+// The batch records, per relation, the membership of every triple its ops
+// touch there, and at the end installs each changed relation as one merge
+// of the net delta into its runs (see Store).
 func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchResult, error) {
 	s.ensureMutable()
 	for i, op := range ops {
@@ -66,8 +64,8 @@ func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchRes
 	defer s.mu.Unlock()
 	var res BatchResult
 	changed := false
-	var deltas map[string]relDelta // frozen relations this batch writes
-	for _, op := range ops {
+	deltas := make(map[string]relDelta)
+	for i, op := range ops {
 		var t Triple
 		if op.Delete {
 			si, pi, oi := s.dict.Lookup(op.S), s.dict.Lookup(op.P), s.dict.Lookup(op.O)
@@ -82,38 +80,34 @@ func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchRes
 			changed = changed || new1 || new2 || new3
 			t = Triple{si, pi, oi}
 		}
-		r, ok := s.rels[op.Rel]
-		switch {
-		case ok && r.frozen:
-			d := deltas[op.Rel]
-			m, seen := d[t]
-			if !seen {
-				m.was = r.Has(t)
-				m.now = m.was
-			}
-			if m.now != op.Delete {
-				continue // duplicate insert or absent delete
-			}
-			if d == nil {
-				d = make(relDelta)
-				if deltas == nil {
-					deltas = make(map[string]relDelta)
+		d, ok := deltas[op.Rel]
+		if !ok {
+			r, exists := s.rels[op.Rel]
+			if !exists {
+				if op.Delete {
+					continue
 				}
-				deltas[op.Rel] = d
+				r = s.createLocked(op.Rel)
 			}
-			m.now = !op.Delete
-			d[t] = m
-		case op.Delete:
-			if !ok || !r.Has(t) {
-				continue
+			// Most batches write one relation: size its map for the rest
+			// of the batch (bounded by the batch, however many relations).
+			hint := 0
+			if len(deltas) == 0 {
+				hint = len(ops) - i
 			}
-			s.mutableRelLocked(op.Rel).Remove(t)
-		default:
-			if ok && r.Has(t) {
-				continue
-			}
-			s.mutableRelLocked(op.Rel).Add(t)
+			d = relDelta{r: r, m: make(map[Triple]struct{ was, now bool }, hint)}
+			deltas[op.Rel] = d
 		}
+		m, seen := d.m[t]
+		if !seen {
+			m.was = d.r.Has(t)
+			m.now = m.was
+		}
+		if m.now != op.Delete {
+			continue // duplicate insert or absent delete
+		}
+		m.now = !op.Delete
+		d.m[t] = m
 		if op.Delete {
 			res.Removed++
 		} else {
@@ -125,8 +119,8 @@ func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchRes
 		}
 	}
 	for name, d := range deltas {
-		var adds, dels []Triple
-		for t, m := range d {
+		adds, dels := make([]Triple, 0, len(d.m)), []Triple(nil)
+		for t, m := range d.m {
 			switch {
 			case m.now && !m.was:
 				adds = append(adds, t)
@@ -135,7 +129,7 @@ func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchRes
 			}
 		}
 		if len(adds)+len(dels) > 0 {
-			s.mergeRelLocked(name, s.rels[name], adds, dels)
+			s.mergeRelLocked(name, adds, dels)
 		}
 	}
 	if changed {
@@ -148,10 +142,13 @@ func (s *Store) ApplyBatchFunc(ops []Op, effect func(op Op, t Triple)) (BatchRes
 	return res, nil
 }
 
-// relDelta is a batch's pending write to one frozen relation: for every
-// triple the batch's ops touched there, whether the relation held it
-// before the batch and whether it holds it after the ops so far.
-type relDelta map[Triple]struct{ was, now bool }
+// relDelta is a batch's pending write to one relation r: for every triple
+// the batch's ops touched there, whether r held it before the batch and
+// whether it holds it after the ops so far.
+type relDelta struct {
+	r *Relation
+	m map[Triple]struct{ was, now bool }
+}
 
 // batchLine is the NDJSON wire form of an Op.
 type batchLine struct {

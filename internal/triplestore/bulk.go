@@ -5,7 +5,7 @@ import "fmt"
 // BulkLoader assembles a Store from pre-validated components produced by
 // a trusted loader — the disk storage engine's segment reader above all.
 // It bypasses per-op interning and duplicate checks and installs relation
-// access paths (the sorted view and the three permutation indexes)
+// access paths (the three permutation runs)
 // directly from the segment's already-sorted runs, which is what makes
 // cold-start recovery from a checkpoint segment an order of magnitude
 // faster than re-ingesting the same triples through ApplyBatch.
@@ -54,8 +54,8 @@ func (b *BulkLoader) SetValueID(id ID, v Value) error {
 
 // SetRelationRuns installs the named relation from its three permutation
 // runs, each sorted in its permutation's key order and all containing the
-// same triples. The sorted view and the SPO/POS/OSP indexes are installed
-// directly (no re-sort, no overlay), so the relation's access paths are
+// same triples. The runs are installed as the relation and its SPO/POS/OSP
+// indexes directly (no re-sort), so the relation's access paths are
 // warm from the first probe. Run sortedness and length agreement are
 // verified; triple-set agreement across the runs is trusted to the
 // caller's checksums.
@@ -77,21 +77,13 @@ func (b *BulkLoader) SetRelationRuns(name string, spo, pos, osp []Triple) error 
 			}
 		}
 	}
-	// No membership map is built here: the strict sortedness just
-	// verified proves the runs duplicate-free, and the relation stays
-	// run-backed (set == nil, the sorted view authoritative) until its
-	// first mutation materializes the map. Skipping the 1-map-insert-
-	// per-triple build is most of what makes checkpoint recovery fast.
-	if spo == nil {
-		spo = []Triple{} // a nil sorted view means "stale", not "empty"
-	}
-	r := &Relation{
-		sorted: spo, // SPO key order is Triple.Less order, i.e. the sorted view
-		idx: [numPerms]*Index{
-			SPO: {perm: SPO, triples: spo},
-			POS: {perm: POS, triples: pos},
-			OSP: {perm: OSP, triples: osp},
-		},
+	// The strict sortedness just verified proves the runs duplicate-free:
+	// the SPO run is the relation, adopted as is.
+	r := RelationFromRun(spo)
+	r.idx = [numPerms]*Index{
+		SPO: {perm: SPO, triples: r.sorted},
+		POS: {perm: POS, triples: pos},
+		OSP: {perm: OSP, triples: osp},
 	}
 	return b.installRelation(name, r)
 }
@@ -99,7 +91,7 @@ func (b *BulkLoader) SetRelationRuns(name string, spo, pos, osp []Triple) error 
 // SetRelationSource installs the named relation served directly from a
 // storage-backed RunSource: no triples are decoded at load time, reads
 // route through the source until its residency policy (or the first
-// mutation) materializes the relation. The disk engine uses this to open
+// write) materializes the relation. The disk engine uses this to open
 // a store whose cold relations never enter memory. ID validity of the
 // source's triples is trusted to the storage checksums the source
 // verified at open, mirroring the cross-run trust of SetRelationRuns.
@@ -120,7 +112,7 @@ func (b *BulkLoader) installRelation(name string, r *Relation) error {
 	}
 	// A source-backed relation has no decoded content to range-check
 	// here (r.sorted is nil); the source's open-time checksum
-	// verification covers it. A run-backed one's sorted view is its
+	// verification covers it. A run-backed one's sorted run is its
 	// content.
 	max := ID(len(b.s.values))
 	for _, t := range r.sorted {

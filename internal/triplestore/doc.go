@@ -11,14 +11,11 @@
 // The store is mutable under concurrent readers: mutations go through
 // Store methods (Add, Remove, SetValue, ApplyBatch, ...), which are
 // serialized internally and advance an atomic version counter, while
-// readers that need a consistent view evaluate against Store.Snapshot —
-// an immutable copy-on-write view whose relations are frozen: the live
-// store's next write to one merges its net delta into the relation's
-// sorted runs and installs the result as a new relation (copy-on-write
-// by merge), while relations no snapshot holds mutate in place.
-// ApplyBatch ingests NDJSON batches (ReadOps) and advances the version
-// once per batch, making the batch the unit of visibility for concurrent
-// queries. Already-built permutation indexes are carried through either
-// path rather than rebuilt from scratch: merged into on copy-on-write,
-// extended by a sorted overlay per Index on in-place insertion.
+// readers that need a consistent view evaluate against Store.Snapshot.
+// Relations are immutable sorted runs, so a snapshot shares them all:
+// every write merges its net delta into the runs of the relations it
+// changes and installs the results as new relations, carrying every
+// already-built permutation index through the merge. ApplyBatch ingests
+// NDJSON batches (ReadOps) and advances the version once per batch,
+// making the batch the unit of visibility for concurrent queries.
 package triplestore

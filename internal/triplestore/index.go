@@ -74,30 +74,20 @@ func (p Perm) String() string {
 	}
 }
 
-// maxIndexTail bounds the overlay of an incrementally maintained index:
-// once the tail outgrows it, the next insertion merges tail and base into
-// one sorted run. The bound keeps point lookups at two binary searches
-// over well-sized runs while amortizing the O(n) merge over many inserts.
-const maxIndexTail = 256
-
 // Index is a materialized access path over a relation: triples sorted in
 // one permutation order, supporting binary-search point lookups on the
-// permutation's leading position. An Index value is immutable — mutation
-// produces a new Index via withAdded, which appends into a small sorted
-// overlay (the tail) and merges it into the base run when it outgrows
-// maxIndexTail. Relations cache one Index per permutation, extend it
-// incrementally on Add, and drop it on Remove.
+// permutation's leading position. An Index value is immutable; relations
+// cache one per permutation, and a store write merges into the cached
+// runs of the relation it replaces (Relation.withDelta).
 //
 // An Index may instead be source-backed (src != nil): probes delegate to
 // a RunSource that decodes only the storage blocks each call touches,
 // so a cold (unmaterialized) relation still answers Match and Leads
 // without its full content ever entering memory. Source-backed indexes
-// are created fresh per Relation.Index call while the relation is cold
-// and are never mutated.
+// are created fresh per Relation.Index call while the relation is cold.
 type Index struct {
 	perm    Perm
-	triples []Triple  // base run, sorted by perm.key order
-	tail    []Triple  // recent additions, also sorted by perm.key order
+	triples []Triple  // the run, sorted by perm.key order
 	src     RunSource // non-nil ⇒ delegate probes to storage
 
 	// leads caches the distinct leading-position values (Leads). The
@@ -116,87 +106,61 @@ func BuildIndex(r *Relation, perm Perm) *Index {
 }
 
 // buildIndexLocked is BuildIndex under r.mu. SPO key order is the sorted
-// view's order, so the SPO index aliases that view instead of copying it.
+// run's order, so the SPO index aliases that run instead of copying it.
 func (r *Relation) buildIndexLocked(perm Perm) *Index {
-	if r.set == nil && r.src != nil { // source-backed: decode in permutation order
+	switch {
+	case perm == SPO && r.sorted != nil:
+		return &Index{perm: SPO, triples: r.sorted}
+	case r.src != nil: // source-backed: decode in permutation order
 		return &Index{perm: perm, triples: r.src.Run(perm)}
 	}
-	if perm == SPO {
-		return &Index{perm: SPO, triples: r.sortedLocked()}
-	}
-	var ts []Triple
-	if r.sorted != nil { // run-backed, or a cached view: cheaper to copy than the map
-		ts = slices.Clone(r.sorted)
-	} else {
-		ts = make([]Triple, 0, len(r.set))
-		for t := range r.set {
-			ts = append(ts, t)
-		}
-	}
-	return &Index{perm: perm, triples: sortTriples(ts, perm)}
-}
-
-// withAdded returns a new Index that additionally covers t (which must
-// not already be present). The receiver is not modified, so an Index
-// captured by a snapshot or an in-flight query stays consistent.
-func (ix *Index) withAdded(t Triple) *Index {
-	if ix.src != nil {
-		// Source-backed indexes are never cached on the relation, and the
-		// mutation path materializes (ensureSet) before touching indexes —
-		// reaching here means the residency seam is wired wrong.
-		panic("triplestore: withAdded on a source-backed index")
-	}
-	key := ix.perm.key(t)
-	pos := sort.Search(len(ix.tail), func(i int) bool { return !ix.perm.key(ix.tail[i]).Less(key) })
-	tail := make([]Triple, 0, len(ix.tail)+1)
-	tail = append(tail, ix.tail[:pos]...)
-	tail = append(tail, t)
-	tail = append(tail, ix.tail[pos:]...)
-	if len(tail) <= maxIndexTail {
-		return &Index{perm: ix.perm, triples: ix.triples, tail: tail}
-	}
-	// Overlay full: linear-merge the two sorted runs into a new base.
-	return &Index{perm: ix.perm, triples: mergeRuns(ix.perm, ix.triples, tail)}
-}
-
-// mergeRuns linearly merges two runs sorted in perm.key order.
-func mergeRuns(perm Perm, a, b []Triple) []Triple {
-	out := make([]Triple, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if perm.key(a[i]).Less(perm.key(b[j])) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return &Index{perm: perm, triples: sortTriples(slices.Clone(r.sorted), perm)}
 }
 
 // mergeDelta returns base, a run sorted in perm key order, with dels
-// removed and adds inserted: one new run in the same order. adds and dels
-// are sorted in perm key order too, every del is in base and no add is —
-// the net change of a write, as the store computes it. Each delta triple
-// is placed by binary search and base is copied in bulk between them, so
-// a batch of d triples into a run of n costs O(d log n) comparisons plus
-// one copy of the run. An empty delta returns base itself.
-func mergeDelta(perm Perm, base, adds, dels []Triple) []Triple {
-	if len(adds) == 0 && len(dels) == 0 {
-		return base
+// removed and adds inserted: one run in the same order. adds and dels are
+// sorted in perm key order too, every del is in base and no add is — the
+// net change of a write, as the store computes it. Each delta triple is
+// placed by binary search and base is moved in bulk between them, so a
+// batch of d triples into a run of n costs O(d log n) comparisons plus
+// one pass over the run.
+//
+// The result is a fresh run, unless inPlace: then base's storage is
+// reused — deletions close up forward, insertions open up backward into
+// its spare capacity, grown like append's when short — so a store that
+// writes to a relation no one else can reach pays neither an allocation
+// nor a copy of the run per write, and moves only the triples above the
+// first change.
+func mergeDelta(perm Perm, base, adds, dels []Triple, inPlace bool) []Triple {
+	if !inPlace {
+		return mergeInto(perm, make([]Triple, 0, len(base)+len(adds)-len(dels)), base, adds, dels)
 	}
-	out := make([]Triple, 0, len(base)+len(adds)-len(dels))
+	if len(dels) > 0 {
+		i := searchRun(perm, base, dels[0])
+		base = mergeInto(perm, base[:i], base[i:], nil, dels)
+	}
+	return insertSorted(perm, base, adds)
+}
+
+// searchRun returns the position of t in base, a run sorted in perm key
+// order: the index of the first triple not below it.
+func searchRun(perm Perm, base []Triple, t Triple) int {
+	key := perm.key(t)
+	return sort.Search(len(base), func(i int) bool { return !perm.key(base[i]).Less(key) })
+}
+
+// mergeInto appends base with dels removed and adds inserted to out and
+// returns it (see mergeDelta). out may end where base starts in the same
+// storage when adds is empty: it never runs ahead of the triple being
+// read.
+func mergeInto(perm Perm, out, base, adds, dels []Triple) []Triple {
 	for len(adds) > 0 || len(dels) > 0 {
 		add := len(dels) == 0 || len(adds) > 0 && perm.key(adds[0]).Less(perm.key(dels[0]))
 		next := dels
 		if add {
 			next = adds
 		}
-		key := perm.key(next[0])
-		i := sort.Search(len(base), func(i int) bool { return !perm.key(base[i]).Less(key) })
+		i := searchRun(perm, base, next[0])
 		out = append(out, base[:i]...)
 		base = base[i:]
 		if add {
@@ -210,6 +174,23 @@ func mergeDelta(perm Perm, base, adds, dels []Triple) []Triple {
 	return append(out, base...)
 }
 
+// insertSorted inserts adds into base in place, both sorted in perm key
+// order and disjoint, growing base's storage when its capacity is short.
+// It fills from the back: each add is placed by binary search over the
+// triples not yet moved, and those above it shift up once, by the number
+// of adds still to place.
+func insertSorted(perm Perm, base, adds []Triple) []Triple {
+	hi := len(base)
+	base = slices.Grow(base, len(adds))[:hi+len(adds)]
+	for k := len(adds) - 1; k >= 0; k-- {
+		i := searchRun(perm, base[:hi], adds[k])
+		copy(base[i+k+1:], base[i:hi])
+		base[i+k] = adds[k]
+		hi = i
+	}
+	return base
+}
+
 // Perm returns the index's permutation order.
 func (ix *Index) Perm() Perm { return ix.perm }
 
@@ -218,59 +199,33 @@ func (ix *Index) Len() int {
 	if ix.src != nil {
 		return ix.src.Len()
 	}
-	return len(ix.triples) + len(ix.tail)
+	return len(ix.triples)
 }
 
-// Triples returns all indexed triples in permutation order. When the
-// index carries no overlay the base run is returned directly (do not
-// modify); otherwise base and tail are merged into a fresh slice. On a
-// source-backed index each call decodes afresh — callers that iterate
-// repeatedly should hold the result.
+// Triples returns all indexed triples in permutation order (do not
+// modify). On a source-backed index each call decodes afresh — callers
+// that iterate repeatedly should hold the result.
 func (ix *Index) Triples() []Triple {
 	if ix.src != nil {
 		return ix.src.Run(ix.perm)
 	}
-	if len(ix.tail) == 0 {
-		return ix.triples
-	}
-	return mergeRuns(ix.perm, ix.triples, ix.tail)
+	return ix.triples
 }
 
-// matchRun returns the subrange of the sorted run ts whose leading
-// component equals id.
-func matchRun(ts []Triple, lead int, id ID) []Triple {
+// Match returns the triples whose leading-position component equals id:
+// a subslice of the index (do not modify), found in O(log n) plus the
+// match count.
+func (ix *Index) Match(id ID) []Triple {
+	if ix.src != nil {
+		return ix.src.Match(ix.perm, id)
+	}
+	ts, lead := ix.triples, ix.perm.Lead()
 	lo := sort.Search(len(ts), func(i int) bool { return ts[i][lead] >= id })
 	hi := lo
 	for hi < len(ts) && ts[hi][lead] == id {
 		hi++
 	}
 	return ts[lo:hi]
-}
-
-// Match returns the triples whose leading-position component equals id.
-// When all matches live in the base run the result is a subslice of the
-// index (do not modify); matches spanning the overlay are concatenated
-// into a fresh slice. The lookup is O(log n) plus the match count.
-func (ix *Index) Match(id ID) []Triple {
-	if ix.src != nil {
-		return ix.src.Match(ix.perm, id)
-	}
-	lead := ix.perm.Lead()
-	base := matchRun(ix.triples, lead, id)
-	if len(ix.tail) == 0 {
-		return base
-	}
-	extra := matchRun(ix.tail, lead, id)
-	if len(extra) == 0 {
-		return base
-	}
-	if len(base) == 0 {
-		return extra
-	}
-	out := make([]Triple, 0, len(base)+len(extra))
-	out = append(out, base...)
-	out = append(out, extra...)
-	return out
 }
 
 // Leads returns the distinct values of the permutation's leading
@@ -297,23 +252,11 @@ func (ix *Index) Leads() []ID {
 	return ix.leads
 }
 
-// MatchCount returns len(Match(id)) without concatenating overlay matches.
-func (ix *Index) MatchCount(id ID) int {
-	if ix.src != nil {
-		return len(ix.src.Match(ix.perm, id))
-	}
-	lead := ix.perm.Lead()
-	n := len(matchRun(ix.triples, lead, id))
-	if len(ix.tail) > 0 {
-		n += len(matchRun(ix.tail, lead, id))
-	}
-	return n
-}
+// MatchCount returns len(Match(id)).
+func (ix *Index) MatchCount(id ID) int { return len(ix.Match(id)) }
 
 // Index returns the relation's access path for the given permutation,
-// building and caching it on first use. In-place additions extend the
-// cached index incrementally (see Relation.Add) and removals drop it; a
-// store write to a frozen relation merges into it (withDelta).
+// building and caching it on first use.
 //
 // While a relation is source-backed and its residency policy forbids
 // retention, each call returns a fresh uncached delegating index: probes
@@ -325,13 +268,8 @@ func (r *Relation) Index(perm Perm) *Index {
 	if ix := r.idx[perm]; ix != nil {
 		return ix
 	}
-	if r.set == nil && r.src != nil {
-		if !r.src.Retain(false) {
-			return &Index{perm: perm, src: r.src}
-		}
-		ix := &Index{perm: perm, triples: r.src.Run(perm)}
-		r.idx[perm] = ix
-		return ix
+	if r.src != nil && !r.src.Retain(false) {
+		return &Index{perm: perm, src: r.src}
 	}
 	ix := r.buildIndexLocked(perm)
 	r.idx[perm] = ix

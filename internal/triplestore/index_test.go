@@ -2,6 +2,7 @@ package triplestore
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -40,10 +41,11 @@ func TestIndexMatch(t *testing.T) {
 
 func TestIndexAgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	r := NewRelation()
+	var ts []Triple
 	for i := 0; i < 500; i++ {
-		r.Add(Triple{ID(rng.Intn(20)), ID(rng.Intn(20)), ID(rng.Intn(20))})
+		ts = append(ts, Triple{ID(rng.Intn(20)), ID(rng.Intn(20)), ID(rng.Intn(20))})
 	}
+	r := RelationOf(ts...)
 	for p := SPO; p < numPerms; p++ {
 		ix := r.Index(p)
 		if ix.Len() != r.Len() {
@@ -88,19 +90,14 @@ func TestIndexLeads(t *testing.T) {
 			}
 		}
 	}
-	// Incremental adds land in the tail overlay; Leads must still merge,
-	// dedupe and sort across both runs.
-	r.Add(Triple{0, 9, 9}) // new lead, sorts first
-	r.Add(Triple{2, 9, 9}) // duplicate lead
-	got := r.Index(SPO).Leads()
-	want := []ID{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("after Add, SPO.Leads() = %v, want %v", got, want)
+	// A write merges into the cached run; the merged relation's Leads
+	// dedupe and sort across old and new triples, the old relation's stay.
+	m := r.withDelta([]Triple{{0, 9, 9}, {2, 9, 9}}, nil, false) // new lead sorting first, duplicate lead
+	if got, want := m.Index(SPO).Leads(), []ID{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("after merge, SPO.Leads() = %v, want %v", got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("after Add, SPO.Leads() = %v, want %v", got, want)
-		}
+	if got, want := r.Index(SPO).Leads(), []ID{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("merged-from relation's SPO.Leads() = %v, want %v", got, want)
 	}
 }
 
@@ -110,20 +107,17 @@ func TestIndexInvalidation(t *testing.T) {
 	if ix.Len() != 1 {
 		t.Fatalf("index len = %d, want 1", ix.Len())
 	}
-	r.Add(Triple{2, 2, 2})
-	if got := r.Index(SPO).Len(); got != 2 {
-		t.Fatalf("after Add, index len = %d, want 2", got)
+	// A merge carries the index into a new relation; each relation keeps
+	// its own.
+	m := r.withDelta([]Triple{{2, 2, 2}}, nil, false)
+	if got := m.Index(SPO).Len(); got != 2 {
+		t.Fatalf("after merge, index len = %d, want 2", got)
 	}
-	// A clone shares the snapshot but invalidates independently.
-	c := r.Clone()
-	if got := c.Index(SPO).Len(); got != 2 {
-		t.Fatalf("clone index len = %d, want 2", got)
+	c := m.withDelta([]Triple{{3, 3, 3}}, []Triple{{1, 1, 1}}, false)
+	if got := c.Index(SPO).Len(); got != 2 || c.Has(Triple{1, 1, 1}) {
+		t.Fatalf("second merge: index len = %d, want 2 without {1 1 1}", got)
 	}
-	c.Add(Triple{3, 3, 3})
-	if got := c.Index(SPO).Len(); got != 3 {
-		t.Fatalf("after clone Add, clone index len = %d, want 3", got)
-	}
-	if got := r.Index(SPO).Len(); got != 2 {
-		t.Fatalf("original index len changed to %d, want 2", got)
+	if r.Index(SPO) != ix || ix.Len() != 1 || m.Index(SPO).Len() != 2 {
+		t.Fatal("a merge changed the index of the relation it merged from")
 	}
 }

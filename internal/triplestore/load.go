@@ -17,9 +17,12 @@ import (
 //
 //	Edinburgh   "Train Op 1"   London
 //	"Train Op 1"  part_of  EastCoast
+//
+// The triples are applied in bounded batches (ApplyBatch).
 func ReadTriples(s *Store, r io.Reader, rel string) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	b := loadBatch{s: s}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -34,9 +37,37 @@ func ReadTriples(s *Store, r io.Reader, rel string) error {
 		if len(fields) != 3 {
 			return fmt.Errorf("line %d: want 3 fields, got %d", line, len(fields))
 		}
-		s.Add(rel, fields[0], fields[1], fields[2])
+		if err := b.add(rel, fields); err != nil {
+			return err
+		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	return b.flush()
+}
+
+// loadBatch gathers a text loader's triple lines into batches: one
+// ApplyBatch, one merge per relation, per ndjsonChunkOps lines, with one
+// batch of ops in memory at a time.
+type loadBatch struct {
+	s   *Store
+	ops []Op
+}
+
+func (b *loadBatch) add(rel string, fields []string) error {
+	b.ops = append(b.ops, Op{Rel: rel, S: fields[0], P: fields[1], O: fields[2]})
+	if len(b.ops) < ndjsonChunkOps {
+		return nil
+	}
+	return b.flush()
+}
+
+// flush applies the gathered lines.
+func (b *loadBatch) flush() error {
+	_, err := b.s.ApplyBatch(b.ops)
+	b.ops = b.ops[:0]
+	return err
 }
 
 func splitFields(text string) ([]string, error) {

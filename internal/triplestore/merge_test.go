@@ -2,17 +2,19 @@ package triplestore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 )
 
-// This file pins copy-on-write by merge: whatever representation a
-// relation starts in and whether or not a snapshot holds it, a store
-// write must leave exactly what a per-op map oracle predicts — content,
-// indexes, statistics, BatchResult, effect callbacks, version — and must
-// leave every earlier snapshot as it was.
+// This file pins the store's write path: whether a relation starts as a
+// run or source-backed and whether or not a snapshot shares it (and so
+// whether a write merges into fresh runs or in place), a store write must
+// leave exactly what a per-op map oracle predicts — content, indexes,
+// statistics, BatchResult, effect callbacks, version — and must leave
+// every earlier snapshot as it was.
 
 // effectRec is one ApplyBatchFunc effect callback.
 type effectRec struct {
@@ -50,7 +52,7 @@ func newMergeHarness(t testing.TB, s *Store) *mergeHarness {
 	return h
 }
 
-// snapshot takes and holds a snapshot, freezing every relation.
+// snapshot takes and holds a snapshot, sharing every relation.
 func (h *mergeHarness) snapshot() {
 	snap := h.s.Snapshot()
 	held := heldSnapshot{s: snap, names: slices.Clone(snap.RelationNames()), content: map[string][]Triple{}}
@@ -110,18 +112,16 @@ func (h *mergeHarness) expect(ops []Op) (BatchResult, []effectRec, bool) {
 	return res, fx, changed
 }
 
-// cachedPerms records which permutation indexes each frozen relation has
+// cachedPerms records which permutation indexes each relation has
 // cached: a merge must carry every one of them over.
 func (h *mergeHarness) cachedPerms() map[string][numPerms]bool {
 	out := map[string][numPerms]bool{}
 	for name, r := range h.s.rels {
-		if r.frozen {
-			var perms [numPerms]bool
-			for p, ix := range r.idx {
-				perms[p] = ix != nil
-			}
-			out[name] = perms
+		var perms [numPerms]bool
+		for p, ix := range r.idx {
+			perms[p] = ix != nil
 		}
+		out[name] = perms
 	}
 	return out
 }
@@ -131,6 +131,7 @@ func (h *mergeHarness) cachedPerms() map[string][numPerms]bool {
 func (h *mergeHarness) apply(ops []Op, perOp bool) {
 	h.t.Helper()
 	v0 := h.s.Version()
+	before := maps.Clone(h.s.rels)
 	cached := h.cachedPerms()
 	wantRes, wantFx, changed := h.expect(ops)
 	if perOp {
@@ -160,15 +161,14 @@ func (h *mergeHarness) apply(ops []Op, perOp bool) {
 		if !slices.Equal(gotFx, wantFx) {
 			h.t.Fatalf("effects = %v, want %v", gotFx, wantFx)
 		}
-		// One merge per written frozen relation. (Per-op writes merge
-		// once and then mutate the private result in place.)
+		// One merge per written relation.
 		for name, perms := range cached {
 			r := h.s.rels[name]
-			if r.frozen {
-				continue // untouched, or a net-empty delta: the snapshot's relation
+			if r == before[name] {
+				continue // untouched, or a net-empty delta
 			}
-			if r.set != nil {
-				h.t.Fatalf("%s: the write to a frozen relation left a set-backed one", name)
+			if r.src != nil {
+				h.t.Fatalf("%s: a write left a source-backed relation", name)
 			}
 			for p, had := range perms {
 				if had && r.idx[p] == nil {
@@ -193,7 +193,7 @@ func (h *mergeHarness) check() {
 			want = append(want, tr)
 		}
 		slices.SortFunc(want, Triple.Compare)
-		checkContent(h.t, name, h.s.Relation(name), want)
+		checkContent(h.t, name, h.s.rels[name], want) // not Relation: that would share it
 	}
 	for i, held := range h.snaps {
 		if got := held.s.RelationNames(); !slices.Equal(got, held.names) {
@@ -307,8 +307,8 @@ func randomOps(rng *rand.Rand, mn *mergeNames, n int) []Op {
 }
 
 // mergeBase builds the starting content shared by every representation:
-// relations R (n triples) and S over the vocabulary, set-backed and
-// private.
+// relations R (n triples) and S over the vocabulary, written triple by
+// triple and never shared.
 func mergeBase(rng *rand.Rand, mn *mergeNames, n int) *Store {
 	s := NewStore()
 	for _, name := range mn.low {
@@ -342,7 +342,7 @@ func bulkCopy(t testing.TB, base *Store, source string) (*Store, *sliceSource) {
 		r := base.Relation(name)
 		var err error
 		if name == source {
-			src = &sliceSource{rel: r.Clone()}
+			src = &sliceSource{rel: r}
 			err = bl.SetRelationSource(name, src)
 		} else {
 			err = bl.SetRelationRuns(name, r.Index(SPO).Triples(), r.Index(POS).Triples(), r.Index(OSP).Triples())
@@ -354,13 +354,14 @@ func bulkCopy(t testing.TB, base *Store, source string) (*Store, *sliceSource) {
 	return bl.Store(), src
 }
 
-// TestApplyBatchMergeMatchesOracle is the merge path's property test:
-// from a private set, a frozen set, a frozen bulk-loaded run with all
-// three indexes, and a frozen source-backed (cold) relation, random
-// batches — and the same ops as per-triple Add/Remove calls — agree with
-// the map oracle, with snapshots taken or not between them.
+// TestApplyBatchMergeMatchesOracle is the write path's property test:
+// from an unshared run (every write merges in place), a run a snapshot
+// shares, a shared bulk-loaded run with all three indexes, and a shared
+// source-backed (cold) relation, random batches — and the same ops as
+// per-triple Add/Remove calls — agree with the map oracle, with snapshots
+// taken or not between them.
 func TestApplyBatchMergeMatchesOracle(t *testing.T) {
-	for _, rep := range []string{"private-set", "frozen-set", "frozen-run", "frozen-cold"} {
+	for _, rep := range []string{"unshared-run", "frozen-set", "frozen-run", "frozen-cold"} {
 		t.Run(rep, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(rep))))
 			for trial := 0; trial < 12; trial++ {
@@ -375,7 +376,7 @@ func TestApplyBatchMergeMatchesOracle(t *testing.T) {
 				s, src := base, (*sliceSource)(nil)
 				switch rep {
 				case "frozen-set":
-					if r := s.Relation("R"); r != nil {
+					if r := s.rels["R"]; r != nil {
 						r.Index(POS)
 					}
 				case "frozen-run":
@@ -386,18 +387,20 @@ func TestApplyBatchMergeMatchesOracle(t *testing.T) {
 					}
 					s, src = bulkCopy(t, base, "R")
 				}
+				cold := s.rels["R"]
 				h := newMergeHarness(t, s)
-				cold := s.Relation("R")
-				if rep != "private-set" {
+				if rep != "unshared-run" {
 					h.snapshot()
 				}
 				for b := 0; b < 8; b++ {
-					if b > 0 && rng.Intn(3) > 0 {
+					if rep != "unshared-run" && b > 0 && rng.Intn(3) > 0 {
 						h.snapshot()
 					}
 					for _, name := range h.names {
 						if rng.Intn(2) == 0 {
-							s.Relation(name).Index(Perm(rng.Intn(int(numPerms))))
+							// Straight from the map: an unshared relation's
+							// permutation runs are merged into in place too.
+							s.rels[name].Index(Perm(rng.Intn(int(numPerms))))
 						}
 					}
 					n := rng.Intn(40)
@@ -406,7 +409,7 @@ func TestApplyBatchMergeMatchesOracle(t *testing.T) {
 					}
 					h.apply(randomOps(rng, mn, n), rng.Intn(4) == 0)
 					if src != nil {
-						if r := s.Relation("R"); r != cold && (src.forced == 0 || r.SourceBacked()) {
+						if r := s.rels["R"]; r != cold && (src.forced == 0 || r.SourceBacked()) {
 							t.Fatalf("a write replaced the cold relation without promoting it (forced %d, source-backed %v)",
 								src.forced, r.SourceBacked())
 						}
@@ -457,9 +460,9 @@ func FuzzApplyBatchMerge(f *testing.F) {
 }
 
 // TestWritesToFrozenRelationMerge pins the per-triple entry points and
-// EnsureRelation on a frozen relation: each installs a new run-backed
-// relation carrying the cached indexes and leaves the snapshot's alone;
-// EnsureRelation's empty delta shares the runs.
+// EnsureRelation on a relation a snapshot shares: each write installs a
+// new run-backed relation carrying the cached indexes and leaves the
+// snapshot's alone; EnsureRelation hands out the shared relation itself.
 func TestWritesToFrozenRelationMerge(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 50; i++ {
@@ -480,8 +483,8 @@ func TestWritesToFrozenRelationMerge(t *testing.T) {
 		before := slices.Clone(frozen.Triples())
 		write.do()
 		live := s.Relation("E")
-		if live == frozen || live.frozen || live.set != nil {
-			t.Fatalf("%s: the frozen relation was not replaced by a run-backed one", write.name)
+		if live == frozen || live.src != nil {
+			t.Fatalf("%s: the shared relation was not replaced by a run-backed one", write.name)
 		}
 		for _, p := range []Perm{SPO, OSP} {
 			if live.idx[p] == nil {
@@ -495,16 +498,13 @@ func TestWritesToFrozenRelationMerge(t *testing.T) {
 
 	snap := s.Snapshot()
 	frozen := snap.Relation("E")
-	r := s.EnsureRelation("E")
-	if r == frozen || r.frozen || s.Relation("E") != r {
-		t.Fatal("EnsureRelation did not install a mutable relation in place of the frozen one")
+	before := slices.Clone(frozen.Triples())
+	if r := s.EnsureRelation("E"); r != frozen {
+		t.Fatal("EnsureRelation of an existing relation did not return it")
 	}
-	if !aliased(r.Triples(), frozen.Triples()) || !aliased(r.Index(OSP).Triples(), frozen.Index(OSP).Triples()) {
-		t.Error("EnsureRelation's empty delta copied the runs instead of sharing them")
-	}
-	r.Add(Triple{9, 9, 9}) // a private write, outside the version contract
-	if frozen.Has(Triple{9, 9, 9}) {
-		t.Error("writing the relation EnsureRelation returned reached the snapshot")
+	s.Add("E", "x", "y", "z")
+	if !slices.Equal(frozen.Triples(), before) || s.Relation("E") == frozen {
+		t.Error("a write after EnsureRelation did not merge into a new relation")
 	}
 }
 

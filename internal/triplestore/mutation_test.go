@@ -2,6 +2,8 @@ package triplestore
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -112,9 +114,9 @@ func TestVersionAtomicUnderRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSnapshotIsolation pins the copy-on-write contract: a snapshot is
-// frozen at its version, later writes to the live store (in-place or
-// batched) are invisible to it, and mutating the snapshot itself panics.
+// TestSnapshotIsolation pins the snapshot contract: a snapshot is frozen
+// at its version, later writes to the live store (per triple or batched)
+// are invisible to it, and mutating the snapshot itself panics.
 func TestSnapshotIsolation(t *testing.T) {
 	s := NewStore()
 	s.Add("E", "a", "p", "b")
@@ -165,7 +167,6 @@ func TestSnapshotIsolation(t *testing.T) {
 		"Intern":         func() { snap.Intern("q") },
 		"EnsureRelation": func() { snap.EnsureRelation("G") },
 		"ApplyBatch":     func() { snap.ApplyBatch([]Op{{Rel: "E", S: "x", P: "y", O: "z"}}) },
-		"RelationAdd":    func() { snap.Relation("E").Add(Triple{9, 9, 9}) },
 	} {
 		func() {
 			defer func() {
@@ -296,72 +297,88 @@ func TestReadOps(t *testing.T) {
 	}
 }
 
-// TestIncrementalIndexMaintenance pins the overlay behavior: once an
-// index is built, store-mediated adds extend it (across the merge
-// threshold) and lookups agree with a freshly built index; removal drops
-// it for a rebuild.
+// checkCachedRuns fails unless every permutation run r has cached is
+// strictly sorted in its order and holds exactly r's content.
+func checkCachedRuns(t *testing.T, r *Relation) {
+	t.Helper()
+	for p, ix := range r.idx {
+		if ix == nil {
+			continue
+		}
+		perm, run := Perm(p), ix.Triples()
+		for i := 1; i < len(run); i++ {
+			if !perm.key(run[i-1]).Less(perm.key(run[i])) {
+				t.Fatalf("cached %v run not strictly sorted at %d", perm, i)
+			}
+		}
+		if !slices.Equal(SortDedupe(slices.Clone(run)), r.Triples()) {
+			t.Fatalf("cached %v run holds %d triples, not the relation's %d", perm, len(run), r.Len())
+		}
+	}
+}
+
+// TestIncrementalIndexMaintenance: once a relation's permutation indexes
+// are built, store writes — per triple and in batches, into runs a
+// snapshot shares and into runs only the store holds — merge into every
+// cached run, which stays strictly sorted, equal to the content and equal
+// to a fresh build.
 func TestIncrementalIndexMaintenance(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 10; i++ {
 		s.Add("E", fmt.Sprintf("s%d", i), "p", "o")
 	}
-	r := s.Relation("E")
 	for perm := SPO; perm < numPerms; perm++ {
-		r.Index(perm) // build, so subsequent adds maintain incrementally
+		s.Relation("E").Index(perm)
 	}
-	// Cross the tail-merge threshold.
-	for i := 0; i < maxIndexTail+50; i++ {
+	for i := 0; i < 300; i++ {
 		s.Add("E", "hub", fmt.Sprintf("p%d", i), fmt.Sprintf("o%d", i%7))
-	}
-	r = s.Relation("E")
-	for perm := SPO; perm < numPerms; perm++ {
-		ix := r.Index(perm)
-		fresh := BuildIndex(r, perm)
-		if ix.Len() != fresh.Len() {
-			t.Fatalf("%v: incremental Len=%d, fresh Len=%d", perm, ix.Len(), fresh.Len())
+		if i%50 == 0 {
+			s.Snapshot()
 		}
-		got, want := ix.Triples(), fresh.Triples()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: order diverges at %d: %v vs %v", perm, i, got[i], want[i])
-			}
+	}
+	var ops []Op
+	for i := 0; i < 100; i++ {
+		ops = append(ops, Op{Rel: "E", S: fmt.Sprintf("t%d", i%13), P: "p", O: fmt.Sprintf("o%d", i)},
+			Op{Delete: true, Rel: "E", S: "hub", P: fmt.Sprintf("p%d", 3*i), O: fmt.Sprintf("o%d", 3*i%7)})
+	}
+	if _, err := s.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Relation("E")
+	checkCachedRuns(t, r)
+	for perm := SPO; perm < numPerms; perm++ {
+		if r.idx[perm] == nil {
+			t.Fatalf("%v: a write dropped the cached index", perm)
+		}
+		ix := r.Index(perm)
+		fresh := &Index{perm: perm, triples: sortTriples(slices.Clone(r.Triples()), perm)}
+		if !slices.Equal(ix.Triples(), fresh.Triples()) {
+			t.Fatalf("%v: maintained run differs from a fresh build", perm)
 		}
 		for _, id := range []ID{s.Lookup("hub"), s.Lookup("s3"), s.Lookup("o2"), s.Lookup("p7"), NoID} {
-			if g, w := ix.MatchCount(id), fresh.MatchCount(id); g != w {
-				t.Errorf("%v: MatchCount(%d) = %d, fresh %d", perm, id, g, w)
-			}
-			gm, wm := ix.Match(id), fresh.Match(id)
-			if len(gm) != len(wm) {
-				t.Errorf("%v: Match(%d) lengths %d vs %d", perm, id, len(gm), len(wm))
-				continue
-			}
-			seen := make(map[Triple]bool, len(wm))
-			for _, t2 := range wm {
-				seen[t2] = true
-			}
-			for _, t2 := range gm {
-				if !seen[t2] {
-					t.Errorf("%v: Match(%d) returned %v not in fresh index", perm, id, t2)
-				}
+			if !slices.Equal(ix.Match(id), fresh.Match(id)) || ix.MatchCount(id) != fresh.MatchCount(id) {
+				t.Errorf("%v: Match(%d) differs from a fresh build", perm, id)
 			}
 		}
 	}
 
-	// Removal invalidates: lookups must not see the removed triple.
+	// A removed triple leaves every index.
 	hub := s.Lookup("hub")
-	if !s.Remove("E", "hub", "p0", "o0") {
+	if !s.Remove("E", "hub", "p1", "o1") {
 		t.Fatal("Remove failed")
 	}
-	ix := s.Relation("E").Index(SPO)
-	for _, m := range ix.Match(hub) {
-		if m == (Triple{hub, s.Lookup("p0"), s.Lookup("o0")}) {
+	r = s.Relation("E")
+	checkCachedRuns(t, r)
+	for _, m := range r.Index(SPO).Match(hub) {
+		if m == (Triple{hub, s.Lookup("p1"), s.Lookup("o1")}) {
 			t.Error("index still serves a removed triple")
 		}
 	}
 }
 
 // TestSnapshotIndexStableAcrossLiveAdds: a snapshot's already-built index
-// must not grow when the live store extends the relation incrementally.
+// must not grow when the live store adds to the relation, while the live
+// relation's merged index stays sorted and equal to its content.
 func TestSnapshotIndexStableAcrossLiveAdds(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 8; i++ {
@@ -376,7 +393,100 @@ func TestSnapshotIndexStableAcrossLiveAdds(t *testing.T) {
 	if got := snap.Relation("E").Index(POS).Len(); got != before {
 		t.Errorf("snapshot index grew from %d to %d", before, got)
 	}
-	if got := s.Relation("E").Index(POS).Len(); got != before+20 {
+	live := s.Relation("E")
+	if got := live.Index(POS).Len(); got != before+20 {
 		t.Errorf("live index Len = %d, want %d", got, before+20)
+	}
+	checkCachedRuns(t, live)
+	checkCachedRuns(t, snap.Relation("E"))
+}
+
+// TestLiveRelationHandlesNeverChange: a relation taken from the live
+// store — by Relation or EnsureRelation, between random Add, Remove,
+// ApplyBatch, EnsureRelation and Snapshot calls — keeps its content, its
+// indexes and its statistics forever, checked against a map oracle.
+func TestLiveRelationHandlesNeverChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	rels := []string{"R", "S"}
+	pick := func() string { return fmt.Sprintf("n%d", rng.Intn(10)) }
+	s := NewStore()
+	oracle := map[string]map[[3]string]bool{"R": {}, "S": {}}
+	apply := func(op Op) {
+		if op.Delete {
+			delete(oracle[op.Rel], [3]string{op.S, op.P, op.O})
+		} else {
+			oracle[op.Rel][[3]string{op.S, op.P, op.O}] = true
+		}
+	}
+	type handle struct {
+		r    *Relation
+		want []Triple
+	}
+	var handles []handle
+	check := func(h handle) {
+		t.Helper()
+		if h.r.Len() != len(h.want) || !slices.Equal(h.r.Triples(), h.want) {
+			t.Fatalf("a handle's content changed: %d triples, want %d", h.r.Len(), len(h.want))
+		}
+		for p := SPO; p < numPerms; p++ {
+			if !slices.Equal(h.r.Index(p).Triples(), SortPerm(slices.Clone(h.want), p)) {
+				t.Fatalf("a handle's %v index changed", p)
+			}
+		}
+		if got, want := h.r.Stats(), mapStats(h.want); got != want {
+			t.Fatalf("a handle's Stats changed: %+v, want %+v", got, want)
+		}
+	}
+	take := func(r *Relation, rel string) {
+		h := handle{r: r, want: []Triple{}}
+		for k := range oracle[rel] {
+			h.want = append(h.want, Triple{s.Lookup(k[0]), s.Lookup(k[1]), s.Lookup(k[2])})
+		}
+		slices.SortFunc(h.want, Triple.Compare)
+		// Warm some caches now, so later checks read cached ones too.
+		if rng.Intn(2) == 0 {
+			r.Stats()
+		}
+		r.Index(Perm(rng.Intn(int(numPerms))))
+		check(h)
+		handles = append(handles, h)
+	}
+	for step := 0; step < 1500; step++ {
+		rel := rels[rng.Intn(len(rels))]
+		op := Op{Delete: rng.Intn(3) == 0, Rel: rel, S: pick(), P: pick(), O: pick()}
+		switch k := rng.Intn(10); {
+		case k < 4:
+			if op.Delete {
+				s.Remove(op.Rel, op.S, op.P, op.O)
+			} else {
+				s.Add(op.Rel, op.S, op.P, op.O)
+			}
+			apply(op)
+		case k < 6:
+			ops := []Op{op}
+			for i := rng.Intn(40); i > 0; i-- {
+				ops = append(ops, Op{Delete: rng.Intn(3) == 0, Rel: rels[rng.Intn(len(rels))], S: pick(), P: pick(), O: pick()})
+			}
+			if _, err := s.ApplyBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ops {
+				apply(op)
+			}
+		case k == 6:
+			take(s.EnsureRelation(rel), rel)
+		case k == 7:
+			s.Snapshot()
+		default:
+			if r := s.Relation(rel); r != nil {
+				take(r, rel)
+			}
+		}
+	}
+	if len(handles) < 100 {
+		t.Fatalf("only %d handles taken", len(handles))
+	}
+	for _, h := range handles {
+		check(h)
 	}
 }

@@ -48,8 +48,8 @@ func multisets(rng *rand.Rand) map[string][]Triple {
 }
 
 // TestRelationFromRunMatchesRelationOf: adopting a sorted, deduplicated
-// buffer must be indistinguishable from hashing the same multiset — on
-// every read path, and after the first mutation materializes the map.
+// buffer must be indistinguishable from building from the raw multiset —
+// on every read path, and after a merge into each.
 func TestRelationFromRunMatchesRelationOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for name, ts := range multisets(rng) {
@@ -67,17 +67,17 @@ func TestRelationFromRunMatchesRelationOf(t *testing.T) {
 				}
 			}
 
-			// A clone is mutable and independent of the run it shares.
-			gc, wc := got.Clone(), want.Clone()
-			extra := Triple{1 << 24, 1, 2}
-			if gc.Add(extra) != wc.Add(extra) {
-				t.Fatal("Add on the clones disagrees")
+			// The same merge into each gives the same relation and leaves
+			// both originals as they were.
+			merge := func(r *Relation) *Relation {
+				var dels []Triple
+				if len(ts) > 0 {
+					dels = []Triple{ts[0]}
+				}
+				return r.withDelta([]Triple{{1 << 24, 1, 2}}, dels, false)
 			}
-			if len(ts) > 0 && gc.Remove(ts[0]) != wc.Remove(ts[0]) {
-				t.Fatal("Remove on the clones disagrees")
-			}
-			checkSameRelation(t, gc, wc)
-			checkSameRelation(t, got, want) // the originals did not move
+			checkSameRelation(t, merge(got), merge(want))
+			checkSameRelation(t, got, want)
 		})
 	}
 }
@@ -106,11 +106,6 @@ func checkSameRelation(t *testing.T, got, want *Relation) {
 	})
 	if n != want.Len() {
 		t.Fatalf("ForEach yields %d triples, want %d", n, want.Len())
-	}
-	sl := slices.Clone(got.Slice())
-	slices.SortFunc(sl, Triple.Compare)
-	if !slices.Equal(sl, want.Triples()) {
-		t.Fatal("Slice is not a permutation of Triples")
 	}
 	for p := SPO; p < numPerms; p++ {
 		g, w := got.Index(p), want.Index(p)
@@ -146,7 +141,7 @@ func TestSortTriplesMatchesComparisonSort(t *testing.T) {
 // sliceSource is a RunSource over an in-memory triple list: what the
 // storage engine's segment reader is to a relation, without the disk.
 type sliceSource struct {
-	rel    *Relation // set-backed holder of the content
+	rel    *Relation // holder of the content
 	retain bool
 	forced int // Retain(true) calls: promotions by the store's write path
 }
@@ -162,21 +157,21 @@ func (s *sliceSource) Retain(force bool) bool {
 	return s.retain || force
 }
 
-// representations builds the same content as a set-backed relation, a
-// frozen one (through a store snapshot), a run-backed one, and
-// source-backed ones whose residency policy does and does not cache.
+// representations builds the same content through RelationOf, through a
+// store snapshot, as an adopted run, and as source-backed relations whose
+// residency policy does and does not cache.
 func representations(ts []Triple) map[string]*Relation {
 	s := NewStore()
 	for _, tr := range ts {
 		s.AddTriple("R", tr)
 	}
-	frozen := s.Snapshot().Relation("R")
-	if frozen == nil {
-		frozen = NewRelation()
+	stored := s.Snapshot().Relation("R")
+	if stored == nil {
+		stored = NewRelation()
 	}
 	return map[string]*Relation{
-		"set":           RelationOf(ts...),
-		"frozen":        frozen,
+		"of":            RelationOf(ts...),
+		"store":         stored,
 		"run":           RelationFromRun(SortDedupe(slices.Clone(ts))),
 		"source":        {src: &sliceSource{rel: RelationOf(ts...), retain: true}},
 		"source-nocopy": {src: &sliceSource{rel: RelationOf(ts...)}},
@@ -229,7 +224,7 @@ func TestSetOpsMatchMapOracle(t *testing.T) {
 					if !slices.Equal(op.got.Triples(), want) {
 						t.Fatalf("round %d: %s(%s, %s) = %d triples, want %d", round, op.name, aName, bName, op.got.Len(), len(want))
 					}
-					if op.got.set != nil {
+					if op.got.src != nil {
 						t.Fatalf("%s(%s, %s) is not run-backed", op.name, aName, bName)
 					}
 				}
@@ -241,32 +236,27 @@ func TestSetOpsMatchMapOracle(t *testing.T) {
 // aliased reports whether two non-empty slices start at the same element.
 func aliased(a, b []Triple) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
-// TestSortedViewAliasesSPOIndex: an immutable relation holds one sorted
-// slice — the sorted view and the SPO index share it whichever is asked
-// for first, also after an overlay on the index has been folded.
+// TestSortedViewAliasesSPOIndex: a relation holds one SPO run — Triples
+// and the SPO index share it whichever is asked for first, also on a
+// relation a merge built.
 func TestSortedViewAliasesSPOIndex(t *testing.T) {
 	ts := randomMultiset(rand.New(rand.NewSource(23)), 2000, 40)
 	for name, build := range map[string]func() *Relation{
-		"set/index-first": func() *Relation { r := RelationOf(ts...); r.Index(SPO); return r },
-		"set/view-first":  func() *Relation { r := RelationOf(ts...); r.Triples(); return r },
+		"of/index-first":  func() *Relation { r := RelationOf(ts...); r.Index(SPO); return r },
+		"of/view-first":   func() *Relation { r := RelationOf(ts...); r.Triples(); return r },
 		"run/index-first": func() *Relation { return RelationFromRun(SortDedupe(slices.Clone(ts))) },
-		"set/overlay": func() *Relation {
+		"merged": func() *Relation {
 			r := RelationOf(ts...)
-			r.Index(SPO)
-			r.Add(Triple{1 << 20, 0, 0}) // lands in the index's overlay, drops the view
-			return r
+			r.Index(POS)
+			return r.withDelta([]Triple{{1 << 20, 0, 0}}, nil, false)
 		},
 	} {
 		r := build()
-		// The view first: asking for it is what folds an overlay.
 		if view, ix := r.Triples(), r.Index(SPO).Triples(); !aliased(ix, view) {
 			t.Errorf("%s: Index(SPO).Triples() and Triples() are separate slices", name)
 		}
 		if !aliased(BuildIndex(r, SPO).Triples(), r.Triples()) {
 			t.Errorf("%s: BuildIndex(SPO) copied the sorted view", name)
-		}
-		if !aliased(r.Slice(), r.Triples()) {
-			t.Errorf("%s: Slice() and Triples() are separate slices", name)
 		}
 		if !slices.IsSortedFunc(r.Triples(), Triple.Compare) || len(r.Triples()) != r.Len() {
 			t.Errorf("%s: shared view is not the relation's sorted content", name)
@@ -274,31 +264,21 @@ func TestSortedViewAliasesSPOIndex(t *testing.T) {
 	}
 }
 
-// TestSliceNeverCopiesTheSet: on a frozen set-backed relation — every
-// base relation a query sees on the memory backend, and on the disk
-// backends after the first write — Slice allocates nothing per call, and
-// is served by whichever permutation run is already cached.
+// TestSliceNeverCopiesTheSet: on a relation a store snapshot hands out —
+// every base relation a query sees — Triples is the SPO run itself,
+// whichever permutation run was cached first, and allocates nothing per
+// call.
 func TestSliceNeverCopiesTheSet(t *testing.T) {
 	s := NewStore()
 	for _, tr := range randomMultiset(rand.New(rand.NewSource(24)), 5000, 60) {
 		s.AddTriple("R", tr)
 	}
 	r := s.Snapshot().Relation("R")
-	pos := r.Index(POS).Triples()
-	if !aliased(r.Slice(), pos) {
-		t.Error("Slice() built a new view although the POS run was cached")
-	}
-	if n := testing.AllocsPerRun(10, func() { r.Slice() }); n != 0 {
-		t.Errorf("Slice() with a cached POS run allocates %v times per call, want 0", n)
-	}
-	view := r.Triples()
-	if !aliased(r.Slice(), view) {
-		t.Error("Slice() does not prefer the cached sorted view")
-	}
-	if n := testing.AllocsPerRun(10, func() { r.Slice() }); n != 0 {
-		t.Errorf("Slice() with a cached sorted view allocates %v times per call, want 0", n)
+	r.Index(POS)
+	if !aliased(r.Triples(), r.Index(SPO).Triples()) {
+		t.Error("Triples() and Index(SPO) are separate slices")
 	}
 	if n := testing.AllocsPerRun(10, func() { r.Triples() }); n != 0 {
-		t.Errorf("Triples() allocates %v times per call once cached, want 0", n)
+		t.Errorf("Triples() allocates %v times per call, want 0", n)
 	}
 }

@@ -64,26 +64,13 @@ func (st RelStats) WorstFanout(pos int) float64 {
 	return float64(m)
 }
 
-// Stats computes (and caches) the relation's statistics. Like the sorted
-// view and the permutation indexes, the cached statistics are dropped on
-// mutation, so they are always consistent with the current contents.
-// Safe for concurrent readers.
+// Stats computes (and caches) the relation's statistics. Safe for
+// concurrent readers.
 func (r *Relation) Stats() RelStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.stats == nil {
-		ts := r.sorted
-		switch {
-		case ts != nil:
-		case r.set != nil: // count a transient copy rather than sort the map
-			ts = make([]Triple, 0, len(r.set))
-			for t := range r.set {
-				ts = append(ts, t)
-			}
-		default: // source-backed
-			ts = r.sortedLocked()
-		}
-		st := statsOf(ts)
+		st := statsOf(r.sortedLocked())
 		r.stats = &st
 	}
 	return *r.stats
@@ -189,8 +176,8 @@ func (s *Store) Stats() StoreStats {
 		return *s.statsCache.snap
 	}
 	// Hold the store's reader lock (live stores only) for the whole
-	// recomputation: Relation.Stats iterates each relation's triple set,
-	// which store-mediated writers mutate under the writer lock.
+	// recomputation: a consistent relation map, and no in-place write
+	// (Store) under a relation being counted.
 	if !s.frozen {
 		s.mu.RLock()
 	}

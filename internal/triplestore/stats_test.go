@@ -42,8 +42,8 @@ func TestRelationStats(t *testing.T) {
 	if again := r.Stats(); again != st {
 		t.Fatalf("second Stats = %+v, want cached %+v", again, st)
 	}
-	// Mutation invalidates the cache.
-	r.Add(Triple{7, 10, 2})
+	// A merged relation counts its own content.
+	r = r.withDelta([]Triple{{7, 10, 2}}, nil, false)
 	st = r.Stats()
 	if st != recount(r) {
 		t.Fatalf("Stats after Add = %+v, want %+v", st, recount(r))

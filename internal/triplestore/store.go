@@ -2,6 +2,8 @@ package triplestore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,32 +17,27 @@ import (
 //
 // # Mutation and snapshots
 //
-// A Store is safe for concurrent use when every mutation goes through its
-// own methods (Add, AddTriple, Remove, RemoveTriple, SetValue, Intern,
-// EnsureRelation, ApplyBatch): writers are serialized by an internal
+// A Store is safe for concurrent use: every mutation goes through its own
+// methods (Add, AddTriple, Remove, RemoveTriple, SetValue, Intern,
+// EnsureRelation, ApplyBatch), writers are serialized by an internal
 // lock, and every state change advances the version counter. Readers
 // that must observe a consistent state while writers run — the execution
-// engine above all — evaluate against Snapshot(), an immutable
-// copy-on-write view. Point reads on the live store (Size, NumObjects,
-// Version, Name, Lookup, Value, Stats, ActiveDomain, ...) are also safe
-// concurrently with writers, though successive calls may observe
-// different versions. What is NOT safe is holding a *Relation obtained
-// from the live store (Relation, EnsureRelation) across concurrent
-// writes — the store mutates live relations in place; take the relation
-// from a Snapshot instead.
+// engine above all — evaluate against Snapshot(), an immutable view.
+// Point reads on the live store (Size, NumObjects, Version, Name, Lookup,
+// Value, Stats, ActiveDomain, ...) are also safe concurrently with
+// writers, though successive calls may observe different versions.
 //
-// Copy-on-write is by merge; private relations mutate in place. A write
-// to a relation a snapshot holds leaves that relation untouched and
-// installs a new run-backed one, built by merging the write's net delta
-// into the old relation's sorted runs (Relation.withDelta): one copy of
-// the runs per batch, no hashing, every cached index carried over. A
-// relation no snapshot holds — a store being built, ingest, WAL replay —
-// is mutated in place, with no per-op bookkeeping.
-//
-// Mutating a Relation obtained from the store directly bypasses the
-// version counter and copy-on-write; it is only sound while the store is
-// provably private (e.g. single-threaded loading before the store is
-// shared), and remains outside the concurrent contract.
+// Relations are immutable values (see Relation), and every write is a
+// merge: it records the net delta of its ops per relation and installs,
+// for each relation it changed, a new relation holding the old one's runs
+// merged with that delta (Relation.withDelta). A *Relation obtained from
+// the store — from a Snapshot or from the live store (Relation,
+// EnsureRelation) — therefore never changes; it is the relation as of the
+// moment it was taken. A relation the store's own writes installed and no
+// one else has seen since — until Snapshot, Clone or a handle from the
+// live store shares it — is merged into in place, into the spare capacity
+// of its runs, so bulk ingest in batches pays no copy of the growing run
+// per batch.
 type Store struct {
 	dict    *Dict
 	version atomic.Uint64
@@ -53,6 +50,7 @@ type Store struct {
 	mu              sync.RWMutex
 	rels            map[string]*Relation
 	relNames        []string
+	owned           map[string]bool // relations no one outside the store can reach: writes merge in place
 	values          []Value
 	valuesSharedLen int // prefix of values shared with snapshots; in-place writes below it copy first
 
@@ -68,7 +66,7 @@ type Store struct {
 
 // NewStore returns an empty triplestore.
 func NewStore() *Store {
-	s := &Store{dict: NewDict(), rels: make(map[string]*Relation)}
+	s := &Store{dict: NewDict(), rels: make(map[string]*Relation), owned: make(map[string]bool)}
 	s.statsCache.refreshes = new(atomic.Uint64)
 	return s
 }
@@ -188,86 +186,56 @@ func (s *Store) Value(id ID) Value {
 // SameValue reports whether ρ(a) = ρ(b), i.e. the relation ∼ of §4.
 func (s *Store) SameValue(a, b ID) bool { return s.Value(a).Equal(s.Value(b)) }
 
-// mutableRelLocked returns the named relation, which no snapshot holds,
-// ready for in-place mutation, creating it if absent. Callers hold s.mu
-// and bump the version; writes to a frozen relation go through
-// mergeRelLocked instead.
-func (s *Store) mutableRelLocked(name string) *Relation {
-	r, ok := s.rels[name]
-	if !ok {
-		r = NewRelation()
-		s.rels[name] = r
-		s.relNames = append(s.relNames, name)
-		return r
-	}
-	// A store-mediated write is about to materialize a source-backed
-	// relation (ensureSet); promote it in the residency accounting first
-	// so the tracker reflects the heap it is about to own. Evaluator
-	// clones materialize without this — their working set is the query's,
-	// not the store's.
-	r.forceResident()
+// createLocked installs an empty relation under name, which the store
+// does not hold yet. Callers hold s.mu and bump the version.
+func (s *Store) createLocked(name string) *Relation {
+	r := NewRelation()
+	s.rels[name] = r
+	s.relNames = append(s.relNames, name)
 	return r
 }
 
-// mergeRelLocked replaces the frozen relation r, stored under name, by
-// r plus adds minus dels (see Relation.withDelta): copy-on-write by
-// merge. Like mutableRelLocked it first promotes a source-backed r, whose
-// content the new relation is about to hold on the heap. Callers hold
-// s.mu and bump the version.
-func (s *Store) mergeRelLocked(name string, r *Relation, adds, dels []Triple) *Relation {
+// mergeRelLocked replaces the named relation by itself plus adds minus
+// dels (see Relation.withDelta), in place when the store owns it. It first
+// promotes a source-backed relation, whose content the new relation is
+// about to hold on the heap. Callers hold s.mu and bump the version.
+func (s *Store) mergeRelLocked(name string, adds, dels []Triple) {
+	r := s.rels[name]
 	r.forceResident()
-	m := r.withDelta(adds, dels)
-	s.rels[name] = m
-	return m
-}
-
-// addLocked inserts t, which the named relation does not hold; removeLocked
-// deletes t, which it does. Callers hold s.mu and bump the version.
-func (s *Store) addLocked(name string, t Triple) {
-	if r := s.rels[name]; r != nil && r.frozen {
-		s.mergeRelLocked(name, r, []Triple{t}, nil)
-		return
-	}
-	s.mutableRelLocked(name).Add(t)
-}
-
-func (s *Store) removeLocked(name string, t Triple) {
-	if r := s.rels[name]; r.frozen {
-		s.mergeRelLocked(name, r, nil, []Triple{t})
-		return
-	}
-	s.mutableRelLocked(name).Remove(t)
+	s.rels[name] = r.withDelta(adds, dels, s.owned[name])
+	s.owned[name] = true
 }
 
 // EnsureRelation returns the relation with the given name, creating an
-// empty one if it does not exist. The returned relation is mutable (if
-// the stored one was frozen by a snapshot, a new relation sharing its
-// runs replaces it), but mutating it directly bypasses the version
-// counter — see the type documentation.
+// empty one if it does not exist.
 func (s *Store) EnsureRelation(name string) *Relation {
 	s.ensureMutable()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, existed := s.rels[name]
-	switch {
-	case !existed:
+	if _, ok := s.rels[name]; !ok {
+		s.createLocked(name)
 		s.bumpVersion()
-	case r.frozen:
-		return s.mergeRelLocked(name, r, nil, nil)
 	}
-	return s.mutableRelLocked(name)
+	return s.shareLocked(name)
 }
 
-// Relation returns the relation with the given name, or nil. On a live
-// store with concurrent writers, the returned relation may be mutated in
-// place by the store — read relations through a Snapshot when writers
-// may be running.
+// Relation returns the relation with the given name, or nil. The relation
+// is the one current at the call; later writes install new relations and
+// leave it unchanged.
 func (s *Store) Relation(name string) *Relation {
 	if s.frozen {
 		return s.rels[name]
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shareLocked(name)
+}
+
+// shareLocked returns the named relation to a caller outside the store,
+// which from now on may read its runs: the next write to it merges into
+// fresh runs. Callers hold s.mu.
+func (s *Store) shareLocked(name string) *Relation {
+	delete(s.owned, name)
 	return s.rels[name]
 }
 
@@ -285,26 +253,19 @@ func (s *Store) RelationNames() []string {
 // Add interns the three object names and inserts the triple into the named
 // relation. It returns the inserted triple. Like ApplyBatch, a no-op
 // insert (triple present, all names interned) leaves the version alone.
+// Add merges one triple into the relation's runs, O(|R|) at worst: bulk
+// writes go through ApplyBatch, which merges a whole batch at once.
 func (s *Store) Add(rel, subj, pred, obj string) Triple {
 	s.ensureMutable()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, hadRel := s.rels[rel]
 	si, new1 := s.internLocked(subj)
 	pi, new2 := s.internLocked(pred)
 	oi, new3 := s.internLocked(obj)
 	t := Triple{si, pi, oi}
-	present := hadRel && r.Has(t)
-	if present && !new1 && !new2 && !new3 {
-		// Pure no-op: don't version-bump, and in particular don't
-		// copy-on-write a snapshot-frozen relation just to re-insert.
-		return t
+	if !s.addTripleLocked(rel, t) && (new1 || new2 || new3) {
+		s.bumpVersion()
 	}
-	if !present {
-		s.addLocked(rel, t)
-		s.adds.Add(1)
-	}
-	s.bumpVersion()
 	return t
 }
 
@@ -314,12 +275,24 @@ func (s *Store) AddTriple(rel string, t Triple) {
 	s.ensureMutable()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r, ok := s.rels[rel]; ok && r.Has(t) {
-		return // no-op: no version bump, no copy-on-write
+	s.addTripleLocked(rel, t)
+}
+
+// addTripleLocked inserts t into the named relation, creating it if
+// needed, and reports whether t was new; only a new triple counts and
+// advances the version. Callers hold s.mu.
+func (s *Store) addTripleLocked(rel string, t Triple) bool {
+	r, ok := s.rels[rel]
+	if !ok {
+		r = s.createLocked(rel)
 	}
-	s.addLocked(rel, t)
+	if r.Has(t) {
+		return false
+	}
+	s.mergeRelLocked(rel, []Triple{t}, nil)
 	s.adds.Add(1)
 	s.bumpVersion()
+	return true
 }
 
 // RemoveTriple deletes an already-interned triple from the named relation
@@ -333,7 +306,7 @@ func (s *Store) RemoveTriple(rel string, t Triple) bool {
 	if !ok || !r.Has(t) {
 		return false
 	}
-	s.removeLocked(rel, t)
+	s.mergeRelLocked(rel, nil, []Triple{t})
 	s.removes.Add(1)
 	s.bumpVersion()
 	return true
@@ -351,13 +324,13 @@ func (s *Store) Remove(rel, subj, pred, obj string) bool {
 }
 
 // Snapshot returns an immutable view of the store at its current
-// version: a copy-on-write Store sharing the dictionary (append-only and
-// internally synchronized), the data-value assignment and every relation
-// with the live store. The snapshot never changes — subsequent writes to
-// the live store replace a shared relation by a merged copy and copy the
-// shared value prefix before writing it — so engines and statistics keyed on the snapshot's
-// version can evaluate lock-free while ingest proceeds. Snapshotting a
-// snapshot returns the receiver. Mutating a snapshot panics.
+// version, sharing the dictionary (append-only and internally
+// synchronized), the data-value assignment and every relation with the
+// live store. The snapshot never changes — later writes to the live store
+// install new relations and copy the shared value prefix before writing
+// it — so engines and statistics keyed on the snapshot's version can
+// evaluate lock-free while ingest proceeds. Snapshotting a snapshot
+// returns the receiver. Mutating a snapshot panics.
 func (s *Store) Snapshot() *Store {
 	if s.frozen {
 		return s
@@ -365,18 +338,15 @@ func (s *Store) Snapshot() *Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := &Store{
-		dict:    s.dict,
-		frozen:  true,
-		dictLen: s.dict.Len(),
-		rels:    make(map[string]*Relation, len(s.rels)),
-		values:  s.values[:len(s.values):len(s.values)],
+		dict:     s.dict,
+		frozen:   true,
+		dictLen:  s.dict.Len(),
+		rels:     maps.Clone(s.rels),
+		relNames: slices.Clone(s.relNames),
+		values:   s.values[:len(s.values):len(s.values)],
 	}
 	snap.statsCache.refreshes = s.statsCache.refreshes
-	snap.relNames = append(snap.relNames, s.relNames...)
-	for name, r := range s.rels {
-		r.frozen = true
-		snap.rels[name] = r
-	}
+	clear(s.owned)
 	s.valuesSharedLen = len(s.values)
 	snap.version.Store(s.version.Load())
 	s.snapshots.Add(1)
@@ -462,13 +432,15 @@ func (s *Store) FormatRelation(r *Relation) string {
 	return out
 }
 
-// Clone returns a deep copy of the store sharing no mutable state. Unlike
-// Snapshot, the copy is itself mutable and fully independent (its own
-// dictionary), at the cost of copying everything eagerly.
+// Clone returns a mutable, independent copy of the store: its own
+// dictionary (same names, same IDs), its own data values and relation
+// map, sharing the immutable relations themselves. Writes to either store
+// install new relations and leave the other alone.
 func (s *Store) Clone() *Store {
 	if !s.frozen {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		clear(s.owned)
 	}
 	c := NewStore()
 	names := s.dict.Names()
@@ -486,9 +458,7 @@ func (s *Store) Clone() *Store {
 			c.values[i] = w
 		}
 	}
-	for _, name := range s.relNames {
-		c.rels[name] = s.rels[name].Clone()
-		c.relNames = append(c.relNames, name)
-	}
+	c.rels = maps.Clone(s.rels)
+	c.relNames = slices.Clone(s.relNames)
 	return c
 }

@@ -2,6 +2,8 @@ package triplestore
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -48,13 +50,10 @@ func TestTripleAccessors(t *testing.T) {
 }
 
 func TestRelationSetSemantics(t *testing.T) {
-	r := NewRelation()
-	if !r.Add(Triple{1, 2, 3}) {
-		t.Error("first Add returned false")
+	if r := NewRelation(); r.Len() != 0 || r.Has(Triple{}) {
+		t.Error("NewRelation is not empty")
 	}
-	if r.Add(Triple{1, 2, 3}) {
-		t.Error("duplicate Add returned true")
-	}
+	r := RelationOf(Triple{1, 2, 3}, Triple{1, 2, 3})
 	if r.Len() != 1 {
 		t.Errorf("Len = %d, want 1", r.Len())
 	}
@@ -71,11 +70,10 @@ func TestRelationTriplesSorted(t *testing.T) {
 			t.Fatalf("not sorted at %d: %v %v", i, got[i-1], got[i])
 		}
 	}
-	// Cache invalidation after Add.
-	r.Add(Triple{0, 0, 0})
-	got = r.Triples()
+	// A merge keeps the order.
+	got = r.withDelta([]Triple{{0, 0, 0}}, nil, false).Triples()
 	if got[0] != (Triple{0, 0, 0}) {
-		t.Fatalf("after Add, first = %v", got[0])
+		t.Fatalf("after a merge, first = %v", got[0])
 	}
 }
 
@@ -97,25 +95,31 @@ func TestRelationSetOps(t *testing.T) {
 	}
 }
 
+// TestRelationEqualClone: Equal compares content, whatever the
+// construction, and a merge builds a new relation leaving its base as it
+// was.
 func TestRelationEqualClone(t *testing.T) {
 	a := RelationOf(Triple{1, 2, 3}, Triple{4, 5, 6})
-	b := a.Clone()
-	if !a.Equal(b) {
-		t.Fatal("clone not equal")
+	b := RelationFromRun([]Triple{{1, 2, 3}, {4, 5, 6}})
+	if !a.Equal(b) || !b.Equal(a) || !a.Equal(RelationOf(Triple{4, 5, 6}, Triple{1, 2, 3})) {
+		t.Fatal("equal content is not Equal")
 	}
-	b.Add(Triple{7, 8, 9})
-	if a.Equal(b) || a.Len() != 2 {
-		t.Fatal("clone shares state")
+	c := b.withDelta([]Triple{{7, 8, 9}}, nil, false)
+	if a.Equal(c) || c.Equal(a) || !a.Equal(b) || b.Len() != 2 {
+		t.Fatal("a merge changed its base, or is Equal to it")
+	}
+	if a.Equal(RelationOf(Triple{1, 2, 3}, Triple{4, 5, 7})) {
+		t.Fatal("different content of the same size is Equal")
 	}
 }
 
 func TestSetOpsProperties(t *testing.T) {
 	mk := func(ts []uint8) *Relation {
-		r := NewRelation()
+		var r []Triple
 		for i := 0; i+2 < len(ts); i += 3 {
-			r.Add(Triple{ID(ts[i] % 4), ID(ts[i+1] % 4), ID(ts[i+2] % 4)})
+			r = append(r, Triple{ID(ts[i] % 4), ID(ts[i+1] % 4), ID(ts[i+2] % 4)})
 		}
-		return r
+		return RelationOf(r...)
 	}
 	// |A ∪ B| = |A| + |B| − |A ∩ B| and A − B disjoint from B.
 	prop := func(xs, ys []uint8) bool {
@@ -197,18 +201,36 @@ func TestActiveDomain(t *testing.T) {
 	}
 }
 
+// TestStoreClone: a clone shares the original's relations until either
+// side writes, and then writes on neither side reach the other — also
+// when the original's next writes would otherwise merge in place into the
+// runs the clone shares.
 func TestStoreClone(t *testing.T) {
 	s := NewStore()
 	s.SetValue("a", V("1"))
-	s.Add("E", "a", "p", "b")
+	for i := 0; i < 20; i++ {
+		s.Add("E", "a", "p", fmt.Sprintf("b%d", i))
+	}
 	c := s.Clone()
+	if c.Relation("E") != s.Relation("E") {
+		t.Error("clone copied a relation instead of sharing it")
+	}
 	c.Add("E", "x", "y", "z")
 	c.SetValue("a", V("2"))
-	if s.Size() != 1 {
+	if s.Size() != 20 {
 		t.Error("clone mutation leaked into original relations")
 	}
 	if !s.Value(s.Lookup("a")).Equal(V("1")) {
 		t.Error("clone mutation leaked into original values")
+	}
+	d := s.Clone()
+	want := slices.Clone(d.Relation("E").Triples())
+	for i := 0; i < 20; i++ {
+		s.Add("E", "a", "p", fmt.Sprintf("c%d", i))
+		s.Remove("E", "a", "p", fmt.Sprintf("b%d", i))
+	}
+	if !slices.Equal(d.Relation("E").Triples(), want) {
+		t.Error("original's writes reached the clone's relation")
 	}
 }
 

@@ -27,6 +27,7 @@ func ReadStoreDefault(r io.Reader, rel string) (*Store, error) {
 	s := NewStore()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	b := loadBatch{s: s}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -45,6 +46,11 @@ func ReadStoreDefault(r io.Reader, rel string) (*Store, error) {
 			parts := strings.Split(rest, "\t")
 			if len(parts) < 2 {
 				return nil, fmt.Errorf("line %d: @value needs a name and at least one field", line)
+			}
+			// Objects are interned in file order: the triples before
+			// first.
+			if err := b.flush(); err != nil {
+				return nil, err
 			}
 			name := unquoteField(strings.TrimSpace(parts[0]))
 			v := make(Value, 0, len(parts)-1)
@@ -65,10 +71,15 @@ func ReadStoreDefault(r io.Reader, rel string) (*Store, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("line %d: want 3 fields, got %d", line, len(fields))
 			}
-			s.Add(rel, fields[0], fields[1], fields[2])
+			if err := b.add(rel, fields); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := b.flush(); err != nil {
 		return nil, err
 	}
 	return s, nil
