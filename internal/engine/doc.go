@@ -9,6 +9,10 @@
 // into a tree of physical operators chosen by a cost model grounded in
 // the per-relation statistics of internal/triplestore:
 //
+//   - index scans: a selection, or a join side, that fixes position 1
+//     or 3 of a base relation to a constant is one match range of the
+//     relation's SPO or OSP run, not a filter over the whole relation —
+//     the constants of the paper's θ conditions as an access path;
 //   - index nested-loop joins probing the permutation indexes
 //     (SPO/POS/OSP) that internal/triplestore materializes per relation,
 //     probing the cross equality whose statistics promise the smallest
@@ -38,8 +42,8 @@
 // the triples it derives to a slice, sorts it once, drops adjacent
 // duplicates and hands the slice over as a run-backed
 // triplestore.Relation (execCtx.finish) — no triple is hashed into a
-// set. Filters, unions and differences keep their inputs' order and
-// sort nothing; see the planNode godoc for the contract per operator.
+// set. Filters, index scans, unions and differences keep their inputs'
+// order and sort nothing; see the planNode godoc for the contract per operator.
 //
 // Prepare returns a reusable compiled plan carrying the optimizer's
 // rewrite trace; Explain renders the trace and the chosen physical plan.

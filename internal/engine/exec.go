@@ -14,6 +14,20 @@ func (n *universeNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	return ctx.e.Universe(), nil
 }
 
+// exec matches the constant in the permutation's run — on a cold
+// relation, decoding only the blocks that cover it — and re-checks the
+// whole condition. With the lead fixed, an SPO or OSP match range is in
+// SPO order, so the result needs no sort. The span records the
+// permutation and the match count before the re-check.
+func (n *indexScanNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
+	m := n.scan.rel.Index(n.perm).Match(n.id)
+	if ctx.trace != nil {
+		ctx.trace.SetAttr("perm", n.perm.String())
+		ctx.trace.SetAttr("matched", len(m))
+	}
+	return ctx.finish(filterSlice(m, n.cc), true)
+}
+
 func (n *filterNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 	in, err := ctx.run(n.child)
 	if err != nil {
@@ -83,7 +97,7 @@ func (n *sharedNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 }
 
 // filterSlice keeps the triples satisfying a compiled single-triple
-// condition (a side-only prefilter).
+// condition (a side-only prefilter, or an index scan's re-check).
 func filterSlice(ts []triplestore.Triple, cc trial.CompiledCond) []triplestore.Triple {
 	out := make([]triplestore.Triple, 0, len(ts))
 	for _, t := range ts {

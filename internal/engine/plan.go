@@ -21,12 +21,14 @@ import (
 // []Triple adopted by triplestore.RelationFromRun (see execCtx.finish).
 // Joins, projections and stars emit in no useful order and pay one sort
 // plus an adjacent-compare dedupe; a filter emits a subset of its
-// input's sorted view in order and pays neither; union and difference
-// are linear merges. Two kinds of operator compute nothing of their
-// own and pass on what they are given: scan and universe hand out the
-// store's relation, whatever its representation, and a BFS reach star
-// hands out the set the Evaluator's closure kernel accumulated — both
-// sort lazily, on the first consumer that asks for Triples.
+// input's sorted view in order and pays neither, and so does an index
+// scan, whose match range of an SPO or OSP run is already in SPO order;
+// union and difference are linear merges. Two kinds of operator compute
+// nothing of their own and pass on what they are given: scan and
+// universe hand out the store's relation, whatever its representation,
+// and a BFS reach star hands out the set the Evaluator's closure kernel
+// accumulated — both sort lazily, on the first consumer that asks for
+// Triples.
 type planNode interface {
 	exec(ctx *execCtx) (*triplestore.Relation, error)
 	est() float64
@@ -201,6 +203,20 @@ type scanNode struct {
 }
 
 type universeNode struct {
+	rows float64
+}
+
+// indexScanNode is a selection over a base relation whose condition fixes
+// position 1 or 3 to a constant: one Index.Match on the permutation led
+// by that position instead of a scan of the whole relation. The whole
+// condition is re-checked on each match. A constant absent from the
+// store resolved to NoID at compile time, which matches nothing.
+type indexScanNode struct {
+	scan *scanNode
+	perm triplestore.Perm
+	id   triplestore.ID
+	cond trial.Cond
+	cc   trial.CompiledCond
 	rows float64
 }
 
@@ -394,6 +410,9 @@ func (c *compiler) compileNode(x trial.Expr) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
+		if is := c.indexScan(child, n.Cond); is != nil {
+			return is, nil
+		}
 		return &filterNode{
 			child: child,
 			cond:  n.Cond,
@@ -476,6 +495,42 @@ func (c *compiler) compileStar(n trial.Star) (*starNode, error) {
 		}
 	}
 	return sn, nil
+}
+
+// indexScan returns σ_cond(child) as an index scan when child is a
+// base-relation scan and cond fixes position 1 or 3 to a constant, and
+// nil otherwise. Position 1 wins a tie: its run is the relation itself,
+// where OSP may have to be built. Position 2 stays a filter — building
+// the POS run for one selection costs a copy of the relation.
+func (c *compiler) indexScan(child planNode, cond trial.Cond) *indexScanNode {
+	sc, ok := child.(*scanNode)
+	if !ok {
+		return nil
+	}
+	pos, name := -1, ""
+	for _, a := range cond.Obj {
+		if a.Neq || a.L.IsConst == a.R.IsConst {
+			continue
+		}
+		p, k := a.L.Pos.Index(), a.R.Name
+		if a.L.IsConst {
+			p, k = a.R.Pos.Index(), a.L.Name
+		}
+		if p != 1 && (pos < 0 || p < pos) {
+			pos, name = p, k
+		}
+	}
+	if pos < 0 {
+		return nil
+	}
+	return &indexScanNode{
+		scan: sc,
+		perm: triplestore.PermFor(pos),
+		id:   c.e.store.Lookup(name),
+		cond: cond,
+		cc:   cond.Compile(c.e.store),
+		rows: sc.est() * optimizer.Selectivity(cond, sc.rel.Stats()),
+	}
 }
 
 // scanStats returns the statistics of a base-relation scan, or the zero
@@ -578,19 +633,33 @@ func sideOnlyCond(c trial.Cond, right bool) (trial.Cond, bool) {
 func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) *joinNode {
 	objKeys := cond.CrossObjEqualities()
 	valKeys := cond.CrossValEqualities()
-	lRows, rRows := l.est(), r.est()
 
 	jn := &joinNode{
-		l: l, r: r, out: out, cond: cond,
+		out: out, cond: cond,
 		cc:      cond.Compile(c.e.store),
 		objKeys: objKeys,
 	}
+	// A side whose side-only atoms fix a constant position of a base
+	// relation becomes an index scan carrying them; any other side keeps
+	// them as a prefilter. Either way the side's estimate is its
+	// filtered size, which is what steers a constant-seeded join to an
+	// index probe from the small side.
 	if lc, ok := sideOnlyCond(cond, false); ok {
-		jn.lCond, jn.lCC, jn.hasLCond = lc, lc.Compile(c.e.store), true
+		if is := c.indexScan(l, lc); is != nil {
+			l = is
+		} else {
+			jn.lCond, jn.lCC, jn.hasLCond = lc, lc.Compile(c.e.store), true
+		}
 	}
 	if rc, ok := sideOnlyCond(cond, true); ok {
-		jn.rCond, jn.rCC, jn.hasRCond = rc, rc.Compile(c.e.store), true
+		if is := c.indexScan(r, rc); is != nil {
+			r = is
+		} else {
+			jn.rCond, jn.rCC, jn.hasRCond = rc, rc.Compile(c.e.store), true
+		}
 	}
+	jn.l, jn.r = l, r
+	lRows, rRows := l.est(), r.est()
 	if len(objKeys)+len(valKeys) == 0 {
 		jn.strategy = joinLoop
 		jn.rows = lRows * rRows
@@ -638,6 +707,10 @@ func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) 
 			}
 		}
 	}
+	if jn.strategy == joinIndexRight || jn.strategy == joinIndexLeft {
+		// An index join emits about what its probes match.
+		jn.rows = cost
+	}
 	return jn
 }
 
@@ -662,29 +735,31 @@ func bestProbeKey(objKeys [][2]trial.Pos, st triplestore.RelStats, left bool) (i
 	return best, bestFan
 }
 
-func (n *scanNode) est() float64     { return float64(n.rel.Len()) }
-func (n *universeNode) est() float64 { return n.rows }
-func (n *filterNode) est() float64   { return n.rows }
-func (n *unionNode) est() float64    { return n.l.est() + n.r.est() }
-func (n *diffNode) est() float64     { return n.l.est() }
-func (n *projectNode) est() float64  { return n.rows }
-func (n *sharedNode) est() float64   { return n.child.est() }
-func (n *joinNode) est() float64     { return n.rows }
-func (n *starNode) est() float64     { return n.rows }
+func (n *scanNode) est() float64      { return float64(n.rel.Len()) }
+func (n *universeNode) est() float64  { return n.rows }
+func (n *indexScanNode) est() float64 { return n.rows }
+func (n *filterNode) est() float64    { return n.rows }
+func (n *unionNode) est() float64     { return n.l.est() + n.r.est() }
+func (n *diffNode) est() float64      { return n.l.est() }
+func (n *projectNode) est() float64   { return n.rows }
+func (n *sharedNode) est() float64    { return n.child.est() }
+func (n *joinNode) est() float64      { return n.rows }
+func (n *starNode) est() float64      { return n.rows }
 
 // label names the operator kind for trace spans. The name is the stable
 // aggregation key of the per-operator breakdowns (obs.Span.SelfTimes),
 // so it carries the physical variant (join strategy, star access path)
 // but no per-query detail.
-func (n *scanNode) label() string     { return "scan" }
-func (n *universeNode) label() string { return "universe" }
-func (n *filterNode) label() string   { return "filter" }
-func (n *unionNode) label() string    { return "union" }
-func (n *diffNode) label() string     { return "diff" }
-func (n *projectNode) label() string  { return "project" }
-func (n *sharedNode) label() string   { return "shared" }
-func (n *joinNode) label() string     { return "join:" + n.strategy.String() }
-func (n *starNode) label() string     { return "star:" + n.access() }
+func (n *scanNode) label() string      { return "scan" }
+func (n *universeNode) label() string  { return "universe" }
+func (n *indexScanNode) label() string { return "index-scan" }
+func (n *filterNode) label() string    { return "filter" }
+func (n *unionNode) label() string     { return "union" }
+func (n *diffNode) label() string      { return "diff" }
+func (n *projectNode) label() string   { return "project" }
+func (n *sharedNode) label() string    { return "shared" }
+func (n *joinNode) label() string      { return "join:" + n.strategy.String() }
+func (n *starNode) label() string      { return "star:" + n.access() }
 
 // access names the star's evaluation mode, shared by explain and trace
 // labels.
@@ -715,6 +790,11 @@ func (n *scanNode) explain(b *strings.Builder, depth int) {
 func (n *universeNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
 	fmt.Fprintf(b, "universe est=%.0f\n", n.rows)
+}
+
+func (n *indexScanNode) explain(b *strings.Builder, depth int) {
+	indent(b, depth)
+	fmt.Fprintf(b, "index-scan[%s] %s [%s] est=%.0f\n", n.perm, n.scan.name, n.cond.String(), n.rows)
 }
 
 func (n *filterNode) explain(b *strings.Builder, depth int) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/trial"
+	"repro/internal/triplestore"
 )
 
 // ExprOptions controls RandomExpr.
@@ -23,6 +24,25 @@ type ExprOptions struct {
 	// diff). U is cubic in the active domain, so large stores should
 	// disable it.
 	AllowUniverse bool
+	// Constants, when nonempty, are the object names condition atoms may
+	// compare a position with: a third of the object atoms become
+	// position = name or position ≠ name. See Constants.
+	Constants []string
+}
+
+// AbsentConstant is the name Constants adds to a store's dictionary: an
+// object the store does not have, so expressions also compare positions
+// with a constant that resolves to nothing.
+const AbsentConstant = "absent-object"
+
+// Constants returns the names of s's dictionary plus AbsentConstant, the
+// pool ExprOptions.Constants draws from.
+func Constants(s *triplestore.Store) []string {
+	names := make([]string, 0, s.NumObjects()+1)
+	for i := 0; i < s.NumObjects(); i++ {
+		names = append(names, s.Name(triplestore.ID(i)))
+	}
+	return append(names, AbsentConstant)
 }
 
 // RandomExpr generates a random well-formed TriAL (or TriAL*) expression.
@@ -53,17 +73,17 @@ func randExpr(rng *rand.Rand, opt ExprOptions, depth int) trial.Expr {
 	case 0:
 		return leaf()
 	case 1:
-		c := randCond(rng, opt, true)
+		c := RandomCond(rng, opt, true)
 		return trial.MustSelect(randExpr(rng, opt, depth-1), c)
 	case 2:
 		return trial.Union{L: randExpr(rng, opt, depth-1), R: randExpr(rng, opt, depth-1)}
 	case 3:
 		return trial.Diff{L: randExpr(rng, opt, depth-1), R: randExpr(rng, opt, depth-1)}
 	case 4, 5:
-		return trial.MustJoin(randExpr(rng, opt, depth-1), randOut(rng), randCond(rng, opt, false),
+		return trial.MustJoin(randExpr(rng, opt, depth-1), RandomOut(rng), RandomCond(rng, opt, false),
 			randExpr(rng, opt, depth-1))
 	default:
-		return trial.MustStar(randExpr(rng, opt, depth-1), randOut(rng), randCond(rng, opt, false),
+		return trial.MustStar(randExpr(rng, opt, depth-1), RandomOut(rng), RandomCond(rng, opt, false),
 			rng.Intn(2) == 0)
 	}
 }
@@ -91,14 +111,15 @@ func RandomCyclicJoin(rng *rand.Rand, rels []string) trial.Join {
 		})
 	}
 	if rng.Intn(2) == 0 {
-		return trial.MustJoin(path(), randOut(rng), closing, rel())
+		return trial.MustJoin(path(), RandomOut(rng), closing, rel())
 	}
-	return trial.MustJoin(path(), randOut(rng), closing, path())
+	return trial.MustJoin(path(), RandomOut(rng), closing, path())
 }
 
 var allPos = []trial.Pos{trial.L1, trial.L2, trial.L3, trial.R1, trial.R2, trial.R3}
 
-func randOut(rng *rand.Rand) [3]trial.Pos {
+// RandomOut draws a join's output positions.
+func RandomOut(rng *rand.Rand) [3]trial.Pos {
 	return [3]trial.Pos{
 		allPos[rng.Intn(6)],
 		allPos[rng.Intn(6)],
@@ -106,30 +127,30 @@ func randOut(rng *rand.Rand) [3]trial.Pos {
 	}
 }
 
-// randCond generates up to three condition atoms. leftOnly restricts
-// positions to 1..3, as selections require.
-func randCond(rng *rand.Rand, opt ExprOptions, leftOnly bool) trial.Cond {
+// RandomCond generates up to three condition atoms. leftOnly restricts
+// positions to 1..3, as selections require; otherwise atoms range over
+// both sides of a join. With opt.Constants, a constant atom fixes any of
+// the pool's positions, so selections and both join sides get them.
+func RandomCond(rng *rand.Rand, opt ExprOptions, leftOnly bool) trial.Cond {
 	pool := allPos
 	if leftOnly {
 		pool = allPos[:3]
 	}
+	pos := func() trial.Pos { return pool[rng.Intn(len(pool))] }
 	var c trial.Cond
 	for i := rng.Intn(3); i > 0; i-- {
 		neq := !opt.EqualityOnly && rng.Intn(3) == 0
-		if opt.AllowValueConds && rng.Intn(3) == 0 {
-			a := trial.ValAtom{
-				L:         trial.RhoP(pool[rng.Intn(len(pool))]),
-				R:         trial.RhoP(pool[rng.Intn(len(pool))]),
-				Neq:       neq,
-				Component: -1,
+		switch {
+		case opt.AllowValueConds && rng.Intn(3) == 0:
+			c.Val = append(c.Val, trial.ValAtom{L: trial.RhoP(pos()), R: trial.RhoP(pos()), Neq: neq, Component: -1})
+		case len(opt.Constants) > 0 && rng.Intn(3) == 0:
+			l, r := trial.P(pos()), trial.Obj(opt.Constants[rng.Intn(len(opt.Constants))])
+			if rng.Intn(2) == 0 {
+				l, r = r, l
 			}
-			c.Val = append(c.Val, a)
-		} else {
-			c.Obj = append(c.Obj, trial.ObjAtom{
-				L:   trial.P(pool[rng.Intn(len(pool))]),
-				R:   trial.P(pool[rng.Intn(len(pool))]),
-				Neq: neq,
-			})
+			c.Obj = append(c.Obj, trial.ObjAtom{L: l, R: r, Neq: neq})
+		default:
+			c.Obj = append(c.Obj, trial.ObjAtom{L: trial.P(pos()), R: trial.P(pos()), Neq: neq})
 		}
 	}
 	return c

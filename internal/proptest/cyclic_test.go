@@ -1,12 +1,15 @@
 package proptest
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/genstore"
+	"repro/internal/storage"
 	"repro/internal/trial"
 	"repro/internal/triplestore"
 )
@@ -82,7 +85,12 @@ func triangleExpr(rel string) trial.Expr {
 // the triangle query checked byte-identical across the binary-only
 // cascade (the oracle at this scale — the reference Evaluator is
 // quadratic and unusable here), the auto planner, the forced leapfrog and
-// merge operators. Fully deterministic: seed 42.
+// merge operators. Constant lookups — point selections on the subject and
+// the object, and hops seeded on either join side — are then checked
+// against the Evaluator on every in-memory route and on a cold disk
+// store, for the hottest subject (whose match range spans several
+// segment blocks), a middling and a tail user, and an absent one. Fully
+// deterministic: seed 42.
 func TestScaleDifferential100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale differential skipped in -short mode")
@@ -121,4 +129,35 @@ func TestScaleDifferential100k(t *testing.T) {
 		}
 	}
 	t.Logf("%s: %d triangles agree across %d routes", g.Desc, want.Len(), len(routes))
+
+	cold, err := storage.CreateFrom(filepath.Join(t.TempDir(), "cold"), s,
+		storage.WithSyncPolicy(storage.SyncNone), storage.WithReadBudget(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	routes = append(Routes(s), Route{Label: "disk-cold", Eval: engine.New(cold.Store()).Eval})
+	spo := s.Relation(genstore.RelE).Index(triplestore.SPO)
+	hot := spo.Leads()[0]
+	for _, id := range spo.Leads() {
+		if spo.MatchCount(id) > spo.MatchCount(hot) {
+			hot = id
+		}
+	}
+	if n := spo.MatchCount(hot); n < 4*1024 {
+		t.Fatalf("hottest subject has %d triples; want a match range over several blocks", n)
+	}
+	for _, c := range []string{s.Name(hot), "u100", "u29999", "nosuch"} {
+		for _, shape := range []string{
+			"sigma[1=%s](E)",
+			"sigma[3=%s](E)",
+			"join[1,2',3'; 3=1', 1=%s](E, E)",
+			"join[1,2,3'; 3=1', 3'=%s](E, E)",
+		} {
+			CheckExpr(t, s, trial.MustParse(fmt.Sprintf(shape, c)), routes)
+		}
+	}
+	if res := cold.Stats().Residency; res.ColdProbes == 0 {
+		t.Errorf("cold route never probed segment blocks: %+v", res)
+	}
 }

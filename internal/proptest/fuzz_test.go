@@ -29,9 +29,10 @@ func fuzzStore(seed int64) *triplestore.Store {
 // FuzzShardedEvaluate extends the differential property to
 // fuzzer-mutated expression texts: whatever parses must evaluate
 // byte-identically on the reference Evaluator and on every other route
-// of Routes. The string seeds are the trial parser's fuzz corpus, so the
-// corpus run under plain `go test` exercises every engine route on every
-// shape the parser corpus covers. The target keeps the name it had when
+// of RoutesWithDisk. The string seeds are the trial parser's fuzz corpus
+// plus constant-carrying selections and joins, so the corpus run under
+// plain `go test` exercises every engine and disk route, the cold one
+// included, on every shape the corpus covers. The target keeps the name it had when
 // its third route was the partition-parallel engine, so existing corpora
 // and CI invocations still find it.
 func FuzzShardedEvaluate(f *testing.F) {
@@ -50,6 +51,18 @@ func FuzzShardedEvaluate(f *testing.F) {
 		"sigma[p(1)=p(2)@3](E)",
 		"rstar[1,2,3'; 3=1',1!=3'](E)",
 		"join[1,2,3'; 3=1'](E, rstar[1,2,3'; 3=1'](E))",
+		// Constants: index-scan selections on positions 1 and 3, the
+		// position-2 and ≠ forms that stay filters, an object absent from
+		// every fuzz store, and joins seeded on either side.
+		"sigma[1=o1](E)",
+		"sigma[3=g1_1,2!=p](E)",
+		"sigma[2=p0,1=o2](E)",
+		"sigma[1!=o1](E)",
+		`sigma[3="absent-object"](E)`,
+		"join[1,2',3'; 3=1', 1=o0](E, E)",
+		"join[1,2',3'; 3=1', 1=g0_0, 2'=p](E, E)",
+		"join[1,2,3'; 3=1', 3'=o3](E, E)",
+		"rstar[1,2,3'; 3=1'](sigma[1=o1](E))",
 	} {
 		f.Add(seed, int64(1))
 		f.Add(seed, int64(9))
@@ -65,6 +78,6 @@ func FuzzShardedEvaluate(f *testing.F) {
 			return
 		}
 		s := fuzzStore(storeSeed)
-		CheckExpr(t, s, x, Routes(s))
+		CheckExpr(t, s, x, RoutesWithDisk(t, s))
 	})
 }

@@ -12,16 +12,19 @@ import (
 
 // exprConfigs cycles the generator through every expression fragment:
 // equality-only TriAL=, general conditions, data-value atoms, Kleene
-// stars, and (domain permitting) the universe primitive.
-func exprConfigs() []genstore.ExprOptions {
-	rels := []string{genstore.RelE}
+// stars, and (domain permitting) the universe primitive. Every fragment
+// compares positions with s's objects and with one absent object, so the
+// planner's constant access paths (index-scan selections and
+// constant-seeded joins) meet the oracle on every route.
+func exprConfigs(s *triplestore.Store) []genstore.ExprOptions {
+	rels, consts := []string{genstore.RelE}, genstore.Constants(s)
 	return []genstore.ExprOptions{
-		{Relations: rels, MaxDepth: 3, EqualityOnly: true},
-		{Relations: rels, MaxDepth: 3},
-		{Relations: rels, MaxDepth: 3, AllowValueConds: true},
-		{Relations: rels, MaxDepth: 3, AllowStar: true},
-		{Relations: rels, MaxDepth: 3, AllowStar: true, AllowValueConds: true},
-		{Relations: rels, MaxDepth: 2, AllowUniverse: true},
+		{Relations: rels, MaxDepth: 3, EqualityOnly: true, Constants: consts},
+		{Relations: rels, MaxDepth: 3, Constants: consts},
+		{Relations: rels, MaxDepth: 3, AllowValueConds: true, Constants: consts},
+		{Relations: rels, MaxDepth: 3, AllowStar: true, Constants: consts},
+		{Relations: rels, MaxDepth: 3, AllowStar: true, AllowValueConds: true, Constants: consts},
+		{Relations: rels, MaxDepth: 2, AllowUniverse: true, Constants: consts},
 	}
 }
 
@@ -33,10 +36,10 @@ func exprConfigs() []genstore.ExprOptions {
 func TestPropertyEquivalence(t *testing.T) {
 	const nStores, perStore = 16, 95
 	rng := rand.New(rand.NewSource(1234))
-	cfgs := exprConfigs()
 	pairs, failures := 0, 0
 	for si := 0; si < nStores; si++ {
 		s, label := RandomStore(rng)
+		cfgs := exprConfigs(s)
 		routes := RoutesWithDisk(t, s)
 		opt := optimizer.New(s)
 		domain := len(s.ActiveDomain())
@@ -97,7 +100,8 @@ func TestShardMatrix(t *testing.T) {
 			} {
 				CheckExpr(t, s, q, routes)
 			}
-			cfg := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 3, AllowStar: true}
+			cfg := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 3, AllowStar: true,
+				Constants: genstore.Constants(s)}
 			for i := 0; i < 40; i++ {
 				CheckExpr(t, s, genstore.RandomExpr(rng, cfg), routes)
 			}
@@ -105,51 +109,22 @@ func TestShardMatrix(t *testing.T) {
 	}
 }
 
-// randCond draws up to three random condition atoms over all six join
-// positions (mirroring the generator internal/genstore uses).
-func randCond(rng *rand.Rand, withVals bool) trial.Cond {
-	pool := []trial.Pos{trial.L1, trial.L2, trial.L3, trial.R1, trial.R2, trial.R3}
-	var c trial.Cond
-	for i := rng.Intn(3); i > 0; i-- {
-		neq := rng.Intn(3) == 0
-		if withVals && rng.Intn(3) == 0 {
-			c.Val = append(c.Val, trial.ValAtom{
-				L:         trial.RhoP(pool[rng.Intn(6)]),
-				R:         trial.RhoP(pool[rng.Intn(6)]),
-				Neq:       neq,
-				Component: -1,
-			})
-		} else {
-			c.Obj = append(c.Obj, trial.ObjAtom{
-				L:   trial.P(pool[rng.Intn(6)]),
-				R:   trial.P(pool[rng.Intn(6)]),
-				Neq: neq,
-			})
-		}
-	}
-	return c
-}
-
-func randOut(rng *rand.Rand) [3]trial.Pos {
-	pool := []trial.Pos{trial.L1, trial.L2, trial.L3, trial.R1, trial.R2, trial.R3}
-	return [3]trial.Pos{pool[rng.Intn(6)], pool[rng.Intn(6)], pool[rng.Intn(6)]}
-}
-
 // TestMetamorphicJoinCommutation checks the paper's join-commutation
 // identity on random joins over random stores:
 // e1 ✶^{out}_θ e2 ≡ e2 ✶{mirror(out)}_{mirror(θ)} e1 on every route.
 func TestMetamorphicJoinCommutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
-	sub := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 2, AllowValueConds: true}
 	checked := 0
 	for si := 0; si < 8; si++ {
 		s, _ := RandomStore(rng)
 		routes := RoutesWithDisk(t, s)
+		sub := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 2, AllowValueConds: true,
+			Constants: genstore.Constants(s)}
 		for i := 0; i < 25; i++ {
 			j := trial.MustJoin(
 				genstore.RandomExpr(rng, sub),
-				randOut(rng),
-				randCond(rng, true),
+				genstore.RandomOut(rng),
+				genstore.RandomCond(rng, sub, false),
 				genstore.RandomExpr(rng, sub))
 			if CheckEquivalent(t, s, j, MirrorJoin(j), routes) {
 				checked++
@@ -166,11 +141,11 @@ func TestMetamorphicJoinCommutation(t *testing.T) {
 // orientation-free — the collapse-nested-star identity).
 func TestMetamorphicStarIdempotence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5678))
-	sub := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 2}
 	checked := 0
 	for si := 0; si < 8; si++ {
 		s, _ := RandomStore(rng)
 		routes := RoutesWithDisk(t, s)
+		sub := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 2, Constants: genstore.Constants(s)}
 		for i := 0; i < 12; i++ {
 			inner := ReachStar(genstore.RandomExpr(rng, sub), rng.Intn(2) == 0, rng.Intn(2) == 0)
 			outer := trial.MustStar(inner, inner.Out, inner.Cond, rng.Intn(2) == 0)
@@ -188,10 +163,11 @@ func TestMetamorphicStarIdempotence(t *testing.T) {
 // idempotence (deduplication) of union on random subexpressions.
 func TestMetamorphicUnionLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(8765))
-	sub := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 2, AllowStar: true}
 	for si := 0; si < 6; si++ {
 		s, _ := RandomStore(rng)
 		routes := RoutesWithDisk(t, s)
+		sub := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 2, AllowStar: true,
+			Constants: genstore.Constants(s)}
 		for i := 0; i < 15; i++ {
 			a := genstore.RandomExpr(rng, sub)
 			b := genstore.RandomExpr(rng, sub)
@@ -210,10 +186,11 @@ func TestMetamorphicUnionLaws(t *testing.T) {
 // evaluate byte-identically to the input on every route.
 func TestMetamorphicOptimizerRewrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(2468))
-	cfg := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 4, AllowStar: true, AllowValueConds: true}
 	for si := 0; si < 6; si++ {
 		s, _ := RandomStore(rng)
 		routes := RoutesWithDisk(t, s)
+		cfg := genstore.ExprOptions{Relations: []string{genstore.RelE}, MaxDepth: 4, AllowStar: true, AllowValueConds: true,
+			Constants: genstore.Constants(s)}
 		opt := optimizer.New(s)
 		for i := 0; i < 25; i++ {
 			x := genstore.RandomExpr(rng, cfg)

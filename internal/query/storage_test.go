@@ -2,8 +2,10 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/genstore"
 	"repro/internal/storage"
 	"repro/internal/triplestore"
 )
@@ -147,6 +149,75 @@ func TestQuerierColdStorage(t *testing.T) {
 	}
 	if n := eng.Stats().PinnedGenerations; n > 1 {
 		t.Fatalf("%d generations still pinned after querier Close", n)
+	}
+}
+
+// TestColdConstantLookups: on a disk engine with a zero read budget,
+// point selections on the subject and the object and constant-seeded
+// hops are index scans over segment blocks. Once the planner's
+// statistics are counted (one full decode per relation, cached), they
+// probe blocks and never decode the relation, which stays source-backed.
+func TestColdConstantLookups(t *testing.T) {
+	mem, err := genstore.PropertyGraph(1, 2000, 6000).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := storage.CreateFrom(t.TempDir(), mem,
+		storage.WithSyncPolicy(storage.SyncNone), storage.WithReadBudget(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q := NewStorage(eng)
+	defer q.Close()
+	qMem := New(mem)
+
+	shapes := []string{
+		"sigma[1=%s](E)",
+		"sigma[3=%s](E)",
+		"join[1,2',3'; 3=1', 1=%s](E, E)",
+		"join[1,2',3'; 3=1', 1=%s, 2'=type](E, E)",
+	}
+	// The first query pays for the statistics.
+	if _, err := q.Query(LangTriAL, fmt.Sprintf(shapes[0], "e0")); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats().Residency
+	answered := 0
+	for i, shape := range shapes {
+		for _, ent := range []string{"e20", "e21", "e1500", "nosuch"} {
+			src := fmt.Sprintf(shape, ent)
+			if plan, _ := q.Explain(LangTriAL, src); !strings.Contains(plan, "index-scan") {
+				t.Errorf("%s: no index scan:\n%s", src, plan)
+			}
+			got, err := q.Query(LangTriAL, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := qMem.Query(LangTriAL, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Store().FormatRelation(got) != mem.FormatRelation(want) {
+				t.Errorf("%s: cold %d triples, mem %d", src, got.Len(), want.Len())
+			}
+			if i < 2 {
+				answered += got.Len()
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("every point lookup was empty; the test is vacuous")
+	}
+	after := eng.Stats().Residency
+	if after.ColdDecodes != before.ColdDecodes {
+		t.Errorf("lookups decoded the relation %d times, want 0", after.ColdDecodes-before.ColdDecodes)
+	}
+	if after.ColdProbes == before.ColdProbes {
+		t.Error("lookups never probed segment blocks")
+	}
+	if !eng.Store().Relation("E").SourceBacked() {
+		t.Error("E was materialized by constant lookups")
 	}
 }
 

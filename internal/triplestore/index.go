@@ -255,6 +255,15 @@ func (ix *Index) Leads() []ID {
 // MatchCount returns len(Match(id)).
 func (ix *Index) MatchCount(id ID) int { return len(ix.Match(id)) }
 
+// Indexed reports whether the relation holds a cached access path for
+// perm — whether that permutation's run takes heap. It observes the
+// cache only; nothing is built.
+func (r *Relation) Indexed(perm Perm) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.idx[perm] != nil
+}
+
 // Index returns the relation's access path for the given permutation,
 // building and caching it on first use.
 //

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -425,11 +426,12 @@ func (s *Store) FormatTriple(t Triple) string {
 
 // FormatRelation renders all triples of r, sorted, one per line.
 func (s *Store) FormatRelation(r *Relation) string {
-	out := ""
+	var b strings.Builder
 	for _, t := range r.Triples() {
-		out += s.FormatTriple(t) + "\n"
+		b.WriteString(s.FormatTriple(t))
+		b.WriteByte('\n')
 	}
-	return out
+	return b.String()
 }
 
 // Clone returns a mutable, independent copy of the store: its own
