@@ -36,15 +36,6 @@ func ParsePath(input string) (Path, error) {
 	return e, nil
 }
 
-// MustParsePath is ParsePath, panicking on error.
-func MustParsePath(input string) Path {
-	e, err := ParsePath(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // ParseNode parses a node formula in the syntax of ParsePath.
 func ParseNode(input string) (Node, error) {
 	p := &gxParser{in: input}
@@ -57,15 +48,6 @@ func ParseNode(input string) (Node, error) {
 		return nil, fmt.Errorf("gxpath: trailing input at %d: %q", p.pos, p.in[p.pos:])
 	}
 	return e, nil
-}
-
-// MustParseNode is ParseNode, panicking on error.
-func MustParseNode(input string) Node {
-	e, err := ParseNode(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 type gxParser struct {

@@ -377,8 +377,11 @@ func CreateFrom(dir string, src *triplestore.Store, opts ...Option) (*Disk, erro
 }
 
 // checkpointData captures a full snapshot as one segment: the whole
-// dictionary, every non-nil value, and every relation's three index runs
-// (pre-sorted by the snapshot's own access paths), with no tombstones.
+// dictionary, every non-nil value, and every relation's three index runs,
+// with no tombstones. A run the relation has cached is written as is;
+// one it lacks is sorted for the segment and dropped after it
+// (Relation.Run), so a checkpoint does not mark a run as read and make
+// every later write carry it.
 func checkpointData(snap *triplestore.Store, seq, walSeq uint64) *segmentData {
 	sd := &segmentData{seq: seq, walSeq: walSeq}
 	n := snap.NumObjects()
@@ -396,9 +399,9 @@ func checkpointData(snap *triplestore.Store, seq, walSeq uint64) *segmentData {
 		sd.rels = append(sd.rels, segRelation{
 			name: name,
 			runs: [3][]triplestore.Triple{
-				triplestore.SPO: r.Index(triplestore.SPO).Triples(),
-				triplestore.POS: r.Index(triplestore.POS).Triples(),
-				triplestore.OSP: r.Index(triplestore.OSP).Triples(),
+				triplestore.SPO: r.Run(triplestore.SPO),
+				triplestore.POS: r.Run(triplestore.POS),
+				triplestore.OSP: r.Run(triplestore.OSP),
 			},
 		})
 	}

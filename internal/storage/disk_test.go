@@ -331,3 +331,73 @@ func TestMemEngineContract(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEagerWritesCarryOnlyReadRuns pins which permutation runs a write
+// to an eagerly opened store carries. The open installs all three runs
+// from the segment; a write merges its delta only into those a reader has
+// used, so under reads that never probe POS the live relation drops POS
+// at the first write and compactions, which write POS to the segment, do
+// not bring it back. A POS read before the write keeps it carried, and a
+// store never written keeps all three runs.
+func TestEagerWritesCarryOnlyReadRuns(t *testing.T) {
+	src := triplestore.NewStore()
+	for i := 0; i < 300; i++ {
+		src.Add("E", fmt.Sprintf("a%d", i%60), fmt.Sprintf("p%d", i%4), fmt.Sprintf("a%d", (i*7)%60))
+	}
+	open := func(t *testing.T) *Disk {
+		eng, err := CreateFrom(filepath.Join(t.TempDir(), "data"), src,
+			WithSyncPolicy(SyncNone), WithFlushBytes(512), WithCompactAt(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	indexed := func(eng *Disk) [3]bool {
+		r := eng.Store().Relation("E")
+		return [3]bool{r.Indexed(triplestore.SPO), r.Indexed(triplestore.POS), r.Indexed(triplestore.OSP)}
+	}
+	// write applies batches of fresh triples, reading the live relation
+	// through reads before each, until the engine has compacted twice,
+	// and checks the cached runs after every batch.
+	write := func(t *testing.T, eng *Disk, reads []triplestore.Perm, want [3]bool) {
+		for b := 0; eng.Stats().Compactions < 2; b++ {
+			if b == 200 {
+				t.Fatalf("stats = %+v: fewer than two compactions", eng.Stats())
+			}
+			r := eng.Store().Relation("E")
+			for _, p := range reads {
+				r.Index(p).Match(eng.Store().Lookup("a1"))
+			}
+			var ops []triplestore.Op
+			for i := 0; i < 10; i++ {
+				ops = append(ops, triplestore.Op{Rel: "E", S: fmt.Sprintf("w%d", b), P: "p0", O: fmt.Sprintf("a%d", i)})
+			}
+			if _, err := eng.ApplyBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+			eng.wg.Wait() // let a compaction started by this batch swap
+			if got := indexed(eng); got != want {
+				t.Fatalf("after batch %d (%d compactions): cached SPO/POS/OSP = %v, want %v",
+					b, eng.Stats().Compactions, got, want)
+			}
+		}
+	}
+
+	t.Run("never-written", func(t *testing.T) {
+		eng := open(t)
+		eng.Store().Relation("E").Index(triplestore.OSP).Match(0)
+		if got := indexed(eng); got != [3]bool{true, true, true} {
+			t.Fatalf("cached SPO/POS/OSP = %v, want all three", got)
+		}
+	})
+	t.Run("pos-free-reads", func(t *testing.T) {
+		eng := open(t)
+		write(t, eng, []triplestore.Perm{triplestore.SPO, triplestore.OSP}, [3]bool{true, false, true})
+	})
+	t.Run("pos-read-first", func(t *testing.T) {
+		eng := open(t)
+		eng.Store().Relation("E").Index(triplestore.POS).Match(0)
+		write(t, eng, []triplestore.Perm{triplestore.OSP}, [3]bool{true, true, true})
+	})
+}

@@ -59,12 +59,6 @@ func ComputeUniverse(s *triplestore.Store) *triplestore.Relation {
 	return triplestore.RelationFromRun(u)
 }
 
-// At returns the object at position p of the flattened join pair
-// (o1, o2, o3, o1′, o2′, o3′).
-func At(p Pos, left, right triplestore.Triple) triplestore.ID {
-	return at(p, left, right)
-}
-
 // Project applies a join's output projection to a candidate pair.
 func Project(out [3]Pos, left, right triplestore.Triple) triplestore.Triple {
 	return project(out, left, right)
@@ -142,20 +136,16 @@ const (
 // compute the same relation.
 func StarReachShape(st Star) ReachShape { return ReachShape(reachStarKind(st)) }
 
-// ReachClosure computes the star of a reachability-shaped join over base
-// by per-source BFS (Procedures 3 and 4 of the paper). A non-nil seed
-// restricts which base triples start chains: the result is then
+// ReachClosureCtx computes the star of a reachability-shaped join over
+// base by per-source BFS (Procedures 3 and 4 of the paper). A non-nil
+// seed restricts which base triples start chains: the result is then
 // σ_seed(star(base)) for seed conditions over the star's invariant
 // positions 1 and 2 — the device behind the engine's selection hoisting.
-func ReachClosure(base *triplestore.Relation, shape ReachShape, seed func(triplestore.Triple) bool) *triplestore.Relation {
-	return reachClosure(context.Background(), base, reachKind(shape), seed)
-}
-
-// ReachClosureCtx is ReachClosure with cooperative cancellation: the
-// per-source BFS sweep polls ctx between seed triples and, once the
-// context is done, stops expanding sources and returns ctx.Err() instead
-// of a partial closure. The reference Evaluator keeps the uncancellable
-// ReachClosure; this entry point exists for serving engines whose
+//
+// The BFS sweep polls ctx between seed triples and, once the context is
+// done, stops expanding sources and returns ctx.Err() instead of a
+// partial closure. The reference Evaluator runs the same sweep without
+// cancellation; this entry point exists for serving engines whose
 // callers may disconnect or time out mid-star (internal/engine).
 func ReachClosureCtx(ctx context.Context, base *triplestore.Relation, shape ReachShape, seed func(triplestore.Triple) bool) (*triplestore.Relation, error) {
 	r := reachClosure(ctx, base, reachKind(shape), seed)

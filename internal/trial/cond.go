@@ -111,9 +111,6 @@ func Neq(a, b ObjTerm) ObjAtom { return ObjAtom{L: a, R: b, Neq: true} }
 // VEq is the data equality atom ρ-term = ρ-term.
 func VEq(a, b ValTerm) ValAtom { return ValAtom{L: a, R: b, Component: -1} }
 
-// VNeq is the data inequality atom.
-func VNeq(a, b ValTerm) ValAtom { return ValAtom{L: a, R: b, Neq: true, Component: -1} }
-
 // Empty reports whether the condition imposes no constraints.
 func (c Cond) Empty() bool { return len(c.Obj) == 0 && len(c.Val) == 0 }
 

@@ -2,10 +2,10 @@ package triplestore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Op is one mutation of a batch: inserting or deleting a single triple of
@@ -159,6 +159,98 @@ type batchLine struct {
 	O   string `json:"o"`
 }
 
+// scanLine decodes line — trimmed, non-empty — when it has the
+// shape nearly every line has: a flat object whose keys are exactly s,
+// p, o, rel and op, each with a string value of printable ASCII without
+// a backslash. It reports false for every other line, which the caller
+// hands to json.Unmarshal: encoding/json stays the definition of the
+// format and the source of every error, and on the lines scanLine
+// accepts it would decode the same fields. s, p and o each get a string
+// of their own, so nothing interned from an op pins the line buffer; rel
+// and op reuse an equal string the reader already holds (the default
+// relation, "add", "delete").
+func (or *OpReader) scanLine(line []byte) (bl batchLine, ok bool) {
+	n := len(line)
+	if n < 2 || line[0] != '{' || line[n-1] != '}' {
+		return bl, false
+	}
+	// line ends in '}', which skipSpace never passes and a string never
+	// ends on, so every index below stays in range.
+	for i := 1; ; {
+		key, j, ok := scanString(line, skipSpace(line, i))
+		if !ok {
+			return bl, false
+		}
+		j = skipSpace(line, j)
+		if line[j] != ':' {
+			return bl, false
+		}
+		val, j, ok := scanString(line, skipSpace(line, j+1))
+		if !ok {
+			return bl, false
+		}
+		switch string(key) {
+		case "s":
+			bl.S = string(val)
+		case "p":
+			bl.P = string(val)
+		case "o":
+			bl.O = string(val)
+		case "rel":
+			bl.Rel = reuse(val, or.defaultRel)
+		case "op":
+			bl.Op = reuse(val, "add", "delete")
+		default:
+			return bl, false
+		}
+		switch j = skipSpace(line, j); line[j] {
+		case ',':
+			i = j + 1
+		case '}':
+			return bl, j == n-1
+		default:
+			return bl, false
+		}
+	}
+}
+
+// reuse returns the first of have that equals b, else b as a new string.
+func reuse(b []byte, have ...string) string {
+	for _, h := range have {
+		if string(b) == h {
+			return h
+		}
+	}
+	return string(b)
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' || line[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// scanString scans the JSON string starting at line[i] if it holds only
+// printable ASCII and no backslash, returning its contents (aliasing
+// line) and the index after the closing quote. ok is false otherwise.
+func scanString(line []byte, i int) (s []byte, next int, ok bool) {
+	if i >= len(line) || line[i] != '"' {
+		return nil, 0, false
+	}
+	for k := i + 1; k < len(line); k++ {
+		switch c := line[k]; {
+		case c == '"':
+			return line[i+1 : k], k + 1, true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, 0, false
+		}
+	}
+	return nil, 0, false
+}
+
 // OpReader incrementally parses a stream of mutations in the NDJSON batch
 // format: one JSON object per line, {"s":..,"p":..,"o":..} plus optional
 // "rel" (defaulting to the reader's default relation) and optional "op"
@@ -181,7 +273,9 @@ type OpReader struct {
 // defaultRel; an empty defaultRel makes such lines an error.
 func NewOpReader(r io.Reader, defaultRel string) *OpReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// The scanner starts small and doubles only for a line that does not
+	// fit, so a one-line request does not pay for a bulk load's buffer.
+	sc.Buffer(nil, 16*1024*1024)
 	return &OpReader{sc: sc, defaultRel: defaultRel}
 }
 
@@ -195,10 +289,7 @@ func (or *OpReader) Next(max int) ([]Op, error) {
 	if or.err != nil {
 		return nil, or.err
 	}
-	if cap(or.buf) < max {
-		or.buf = make([]Op, 0, max)
-	}
-	or.buf = or.buf[:0]
+	or.buf = or.buf[:0] // grown by append: a short body does not pay for max
 	for len(or.buf) < max {
 		if !or.sc.Scan() {
 			if err := or.sc.Err(); err != nil {
@@ -209,14 +300,18 @@ func (or *OpReader) Next(max int) ([]Op, error) {
 			return or.buf, or.err
 		}
 		or.line++
-		text := strings.TrimSpace(or.sc.Text())
-		if text == "" {
+		line := bytes.TrimSpace(or.sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var bl batchLine
-		if err := json.Unmarshal([]byte(text), &bl); err != nil {
-			or.err = fmt.Errorf("triplestore: batch line %d: %v", or.line, err)
-			return or.buf, or.err
+		bl, ok := or.scanLine(line)
+		if !ok {
+			var jl batchLine // escapes to the heap: kept off the common path
+			if err := json.Unmarshal(line, &jl); err != nil {
+				or.err = fmt.Errorf("triplestore: batch line %d: %v", or.line, err)
+				return or.buf, or.err
+			}
+			bl = jl
 		}
 		op := Op{Rel: bl.Rel, S: bl.S, P: bl.P, O: bl.O}
 		switch bl.Op {
@@ -253,6 +348,9 @@ func ReadOps(r io.Reader, defaultRel string) ([]Op, error) {
 	var ops []Op
 	for {
 		chunk, err := or.Next(ndjsonChunkOps)
+		if err == io.EOF && ops == nil {
+			return chunk, nil // a body of one chunk: the spent reader's buffer is the result
+		}
 		ops = append(ops, chunk...)
 		if err == io.EOF {
 			return ops, nil

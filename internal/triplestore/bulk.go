@@ -56,7 +56,9 @@ func (b *BulkLoader) SetValueID(id ID, v Value) error {
 // runs, each sorted in its permutation's key order and all containing the
 // same triples. The runs are installed as the relation and its SPO/POS/OSP
 // indexes directly (no re-sort), so the relation's access paths are
-// warm from the first probe. Run sortedness and length agreement are
+// warm from the first probe. They start unread: a write carries only the
+// runs a reader has used since (see Relation.withDelta), so a store never
+// written keeps all three. Run sortedness and length agreement are
 // verified; triple-set agreement across the runs is trusted to the
 // caller's checksums.
 func (b *BulkLoader) SetRelationRuns(name string, spo, pos, osp []Triple) error {

@@ -76,9 +76,9 @@ func (p Perm) String() string {
 
 // Index is a materialized access path over a relation: triples sorted in
 // one permutation order, supporting binary-search point lookups on the
-// permutation's leading position. An Index value is immutable; relations
+// permutation's leading position. An Index's run is immutable; relations
 // cache one per permutation, and a store write merges into the cached
-// runs of the relation it replaces (Relation.withDelta).
+// runs a reader has used of the relation it replaces (Relation.withDelta).
 //
 // An Index may instead be source-backed (src != nil): probes delegate to
 // a RunSource that decodes only the storage blocks each call touches,
@@ -89,6 +89,11 @@ type Index struct {
 	perm    Perm
 	triples []Triple  // the run, sorted by perm.key order
 	src     RunSource // non-nil ⇒ delegate probes to storage
+
+	// read records that Relation.Index has handed the cached run to a
+	// reader; only such runs are carried through a write. Guarded by the
+	// owning relation's mu.
+	read bool
 
 	// leads caches the distinct leading-position values (Leads). The
 	// index is immutable, so the lazy build runs once per Index value;
@@ -265,7 +270,8 @@ func (r *Relation) Indexed(perm Perm) bool {
 }
 
 // Index returns the relation's access path for the given permutation,
-// building and caching it on first use.
+// building and caching it on first use, and marks the cached run as read:
+// the next write merges into it instead of dropping it.
 //
 // While a relation is source-backed and its residency policy forbids
 // retention, each call returns a fresh uncached delegating index: probes
@@ -275,12 +281,28 @@ func (r *Relation) Index(perm Perm) *Index {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ix := r.idx[perm]; ix != nil {
+		ix.read = true
 		return ix
 	}
 	if r.src != nil && !r.src.Retain(false) {
 		return &Index{perm: perm, src: r.src}
 	}
 	ix := r.buildIndexLocked(perm)
+	ix.read = true
 	r.idx[perm] = ix
 	return ix
+}
+
+// Run returns the relation's triples in perm key order (do not modify)
+// without caching or marking anything: the cached run when there is one,
+// else a transient sort or decode. Storage's checkpoint reads through it,
+// so writing a segment neither caches a run it had to sort nor marks a
+// cached one read.
+func (r *Relation) Run(perm Perm) []Triple {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ix := r.idx[perm]; ix != nil {
+		return ix.Triples()
+	}
+	return r.buildIndexLocked(perm).Triples()
 }

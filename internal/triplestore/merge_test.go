@@ -112,14 +112,32 @@ func (h *mergeHarness) expect(ops []Op) (BatchResult, []effectRec, bool) {
 	return res, fx, changed
 }
 
-// cachedPerms records which permutation indexes each relation has
-// cached: a merge must carry every one of them over.
-func (h *mergeHarness) cachedPerms() map[string][numPerms]bool {
-	out := map[string][numPerms]bool{}
+// runState is what a relation holds of one permutation run before a
+// write: nothing, a cached run no reader has used (one BulkLoader
+// installed), or a run a reader has used.
+type runState int
+
+const (
+	runAbsent runState = iota
+	runUnread
+	runRead
+)
+
+// cachedPerms records the state of every permutation run of each
+// relation: a merge must carry every run a reader used and drop every
+// unread one.
+func (h *mergeHarness) cachedPerms() map[string][numPerms]runState {
+	out := map[string][numPerms]runState{}
 	for name, r := range h.s.rels {
-		var perms [numPerms]bool
+		var perms [numPerms]runState
 		for p, ix := range r.idx {
-			perms[p] = ix != nil
+			switch {
+			case ix == nil:
+			case ix.read:
+				perms[p] = runRead
+			default:
+				perms[p] = runUnread
+			}
 		}
 		out[name] = perms
 	}
@@ -170,9 +188,14 @@ func (h *mergeHarness) apply(ops []Op, perOp bool) {
 			if r.src != nil {
 				h.t.Fatalf("%s: a write left a source-backed relation", name)
 			}
-			for p, had := range perms {
-				if had && r.idx[p] == nil {
+			// checkContent below holds every surviving run sorted and
+			// equal to the content.
+			for p, st := range perms {
+				if st == runRead && r.idx[p] == nil {
 					h.t.Fatalf("%s: the merge dropped the cached %v index", name, Perm(p))
+				}
+				if st == runUnread && Perm(p) != SPO && r.idx[p] != nil {
+					h.t.Fatalf("%s: the merge carried the unread %v index", name, Perm(p))
 				}
 			}
 		}

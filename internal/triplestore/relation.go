@@ -204,7 +204,10 @@ func (r *Relation) ForEach(f func(Triple)) {
 // the store's write path. adds must be absent from r and dels present,
 // both duplicate-free and not both empty; withDelta reorders them. The
 // delta is merged into the SPO run and into every other permutation run r
-// has cached, so the new relation starts with the same indexes warm.
+// has cached and a reader has used (Relation.Index), so the new relation
+// starts with those indexes warm and marked read. A cached run no reader
+// has used — one BulkLoader installed — is dropped rather than copied on
+// every write; the first reader that wants it builds it again.
 // Unless inPlace, r is left untouched and the result's runs are fresh.
 // inPlace — granted only for a relation no one but the store can reach —
 // merges into r's own runs instead (see mergeDelta), and r must not be
@@ -218,13 +221,13 @@ func (r *Relation) withDelta(adds, dels []Triple, inPlace bool) *Relation {
 		switch ix := r.idx[p]; {
 		case p == SPO:
 			base = r.sortedLocked()
-		case ix != nil:
+		case ix != nil && ix.read:
 			base = ix.Triples()
 		default:
 			continue
 		}
 		adds, dels = sortTriples(adds, p), sortTriples(dels, p)
-		out.idx[p] = &Index{perm: p, triples: mergeDelta(p, base, adds, dels, inPlace)}
+		out.idx[p] = &Index{perm: p, triples: mergeDelta(p, base, adds, dels, inPlace), read: true}
 	}
 	out.sorted = out.idx[SPO].triples
 	return out
