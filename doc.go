@@ -17,11 +17,11 @@
 //
 // Beyond the paper, internal/engine is an execution engine for the same
 // algebra — permutation-indexed joins, parallel probing, BFS and
-// semi-naive Kleene stars — fed by the cost-based logical optimizer of
-// internal/optimizer (algebraic rewrites driven by the per-relation
-// statistics of internal/triplestore), kept result-identical to the
-// reference Evaluator by differential tests. internal/query routes all
-// five frontend languages through that stack behind one plan cache, and
+// semi-naive Kleene stars — fed by the logical optimizer of
+// internal/optimizer (the paper's algebraic identities as rewrites),
+// kept result-identical to the reference Evaluator by differential
+// tests. internal/query routes all five frontend languages through that
+// stack behind one plan cache, and
 // cmd/trialserver serves it over HTTP.
 //
 // See README.md for a tour, ARCHITECTURE.md for the layer diagram and

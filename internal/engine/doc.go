@@ -5,21 +5,21 @@
 // Where the Evaluator scans whole relations for every join, the engine
 // first rewrites the expression with the logical optimizer
 // (internal/optimizer — selection pushdown, projection composition,
-// statistics-driven join commutation, star collapsing), then compiles it
-// into a tree of physical operators chosen by a cost model grounded in
-// the per-relation statistics of internal/triplestore:
+// union canonicalization, star collapsing), then compiles it into a tree
+// of physical operators chosen by rule from exact relation sizes and
+// sound output bounds (|R|, |dom|³, |L|·|R|, sums; no statistics, see
+// chooseJoin):
 //
 //   - index scans: a selection, or a join side, that fixes position 1
 //     or 3 of a base relation to a constant is one match range of the
 //     relation's SPO or OSP run, not a filter over the whole relation —
 //     the constants of the paper's θ conditions as an access path;
-//   - index nested-loop joins probing the permutation indexes
-//     (SPO/POS/OSP) that internal/triplestore materializes per relation,
-//     probing the cross equality whose statistics promise the smallest
-//     bucket;
+//   - index nested-loop joins probing a base relation's SPO or OSP run
+//     from a side that is an index scan or small against it;
+//   - sort-merge joins pairing two base relations' permutation indexes;
 //   - hash joins keyed on the cross-side equality atoms of the join
-//     condition (the Proposition 4 strategy), probed in parallel by a
-//     bounded worker pool;
+//     condition (the Proposition 4 strategy), built at run time on the
+//     smaller input and probed in parallel by a bounded worker pool;
 //   - linear projections for the identity self-joins the §6.2
 //     translations emit to permute triple components — no join at all;
 //   - common-subexpression sharing: structurally identical subplans
@@ -53,8 +53,8 @@
 // through the store's mutation methods never races a running query), or
 // over a live store that is only mutated between queries — compiled
 // plans bind relation access paths at plan time, and the version-keyed
-// caches above the engine (plans, statistics, the universal relation)
-// refresh per store version.
+// caches above the engine (plans, the universal relation) refresh per
+// store version.
 //
 // The engine computes exactly the relations defined in §3 of the paper —
 // differential tests assert identity with trial.Evaluator on every

@@ -54,7 +54,7 @@ func WithoutOptimize() Option {
 }
 
 // JoinPolicy constrains which physical join strategies the planner may
-// pick. The default JoinAuto lets the cost model choose freely; the
+// pick. The default JoinAuto lets the planner's rule choose freely; the
 // restricted policies pin a route deterministically, which is what the
 // differential test tier and the bench harness use to compare the
 // worst-case-optimal operators against the classic binary plans on the
@@ -62,7 +62,8 @@ func WithoutOptimize() Option {
 type JoinPolicy int
 
 const (
-	// JoinAuto is the default: cost-based choice among all strategies.
+	// JoinAuto is the default: the rule-based choice among all
+	// strategies (chooseJoin, and the leapfrog gate).
 	JoinAuto JoinPolicy = iota
 	// JoinNoWCO restricts the planner to the binary strategies
 	// (hash/index/loop), disabling both the leapfrog triejoin and the
@@ -114,25 +115,14 @@ func (e *Engine) EvalContext(ctx context.Context, x trial.Expr) (*triplestore.Re
 	return p.execContext(e, ctx, nil)
 }
 
-// Optimizer returns a logical optimizer over the engine's store (and its
-// current statistics snapshot) — the one plan uses when optimization is
+// Optimizer returns the logical optimizer plan uses when optimization is
 // enabled.
 func (e *Engine) Optimizer() *optimizer.Optimizer { return optimizer.New(e.store) }
-
-// EvalString parses a TriAL* expression in the textual syntax of
-// trial.Parse and evaluates it.
-func (e *Engine) EvalString(query string) (*triplestore.Relation, error) {
-	x, err := trial.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(x)
-}
 
 // Explain returns a rendering of the plan chosen for x: the logical
 // optimizer's rewrite trace on the first line, then one physical
 // operator per line, children indented, with the selected join
-// strategies and the planner's cardinality estimates.
+// strategies and each operator's output bound.
 func (e *Engine) Explain(x trial.Expr) (string, error) {
 	p, err := e.plan(x)
 	if err != nil {

@@ -4,42 +4,28 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fixtures"
 	"repro/internal/genstore"
 	"repro/internal/trial"
 )
 
-func TestEvalString(t *testing.T) {
-	s := fixtures.Transport()
-	e := New(s)
-	r, err := e.EvalString(`join[1,3',3; 2=1'](E, E)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := trial.NewEvaluator(s).Eval(trial.Example2(fixtures.RelE))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Equal(want) {
-		t.Fatalf("EvalString = %d triples, want %d", r.Len(), want.Len())
-	}
-	if _, err := e.EvalString("join[("); err == nil {
-		t.Fatal("EvalString accepted a malformed query")
-	}
-}
-
 // TestPlannerChoosesIndexJoin: a join of two base-relation scans with a
-// cross equality should pick an index strategy, not hash — both sides are
-// materialized access paths and the bucket estimate beats build+probe.
+// cross equality walks their materialized access paths, never a hash
+// table: merge when both sides are whole relations, an index probe when
+// one side is a constant-seeded index scan.
 func TestPlannerChoosesIndexJoin(t *testing.T) {
 	s := genstore.Chain(64, 2)
 	e := New(s)
-	plan, err := e.Explain(trial.Example2(genstore.RelE))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "index-") {
-		t.Errorf("expected an index join for scan-scan equality join, got:\n%s", plan)
+	for q, want := range map[string]string{
+		trial.Example2(genstore.RelE).String(): "] merge",
+		"join[1,3',3; 2=1', 1=n3](E, E)":       "] index-right",
+	} {
+		plan, err := e.Explain(mustParseT(t, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, want) || strings.Contains(plan, "hash") {
+			t.Errorf("%s: want %q and no hash join, got:\n%s", q, want, plan)
+		}
 	}
 }
 

@@ -121,7 +121,9 @@ type idHashTable struct {
 	next []int32                     // build index → 1 + index of the previous triple with its key; 0 ends the chain
 }
 
-func buildIDHashTable(build []triplestore.Triple, keys [][2]trial.Pos) *idHashTable {
+// buildIDHashTable indexes build, the join side whose positions are
+// element side (0 left, 1 right) of each key pair.
+func buildIDHashTable(build []triplestore.Triple, keys [][2]trial.Pos, side int) *idHashTable {
 	if len(keys) > 3 {
 		keys = keys[:3]
 	}
@@ -131,15 +133,15 @@ func buildIDHashTable(build []triplestore.Triple, keys [][2]trial.Pos) *idHashTa
 		next: make([]int32, len(build)),
 	}
 	for i, bt := range build {
-		k := t.key(bt, 1)
+		k := t.key(bt, side)
 		t.next[i] = t.head[k]
 		t.head[k] = int32(i + 1)
 	}
 	return t
 }
 
-// key is the join key of a triple of the given side: 0 for the probe
-// (left) operand, 1 for the build (right) operand.
+// key is the join key of a triple of the given side: 0 for the left
+// operand, 1 for the right.
 func (t *idHashTable) key(tr triplestore.Triple, side int) (k [3]triplestore.ID) {
 	for i, p := range t.keys {
 		k[i] = tr[p[side].Index()]
@@ -232,31 +234,7 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 		if n.hasRCond {
 			rts = filterSlice(rts, n.rCC)
 		}
-		if len(n.objKeys) > 0 && len(n.cond.CrossValEqualities()) == 0 {
-			table := buildIDHashTable(rts, n.objKeys)
-			return ctx.collect(probeLeft(), func(lt triplestore.Triple, emit func(triplestore.Triple)) {
-				for i := table.head[table.key(lt, 0)]; i != 0; i = table.next[i-1] {
-					if rt := rts[i-1]; n.cc.Holds(lt, rt) {
-						emit(trial.Project(n.out, lt, rt))
-					}
-				}
-			})
-		}
-		// η (data-value) equalities key on the values' canonical strings,
-		// exactly as the Evaluator's hash join does.
-		lKey, rKey := trial.CrossEqualityKeyFuncs(ctx.e.store, n.cond)
-		table := make(map[string][]triplestore.Triple, len(rts))
-		for _, rt := range rts {
-			k := rKey(rt)
-			table[k] = append(table[k], rt)
-		}
-		return ctx.collect(probeLeft(), func(lt triplestore.Triple, emit func(triplestore.Triple)) {
-			for _, rt := range table[lKey(lt)] {
-				if n.cc.Holds(lt, rt) {
-					emit(trial.Project(n.out, lt, rt))
-				}
-			}
-		})
+		return n.hashJoin(ctx, probeLeft(), rts)
 	default: // joinLoop
 		rts := r.Triples()
 		if n.hasRCond {
@@ -270,6 +248,55 @@ func (n *joinNode) exec(ctx *execCtx) (*triplestore.Relation, error) {
 			}
 		})
 	}
+}
+
+// hashJoin builds the table on whichever prefiltered input is exactly
+// smaller (the right one on a tie) and probes it with the other in
+// parallel; the span's "build" attribute names the side. Both inputs
+// are materialized by now, so the choice needs no estimate.
+func (n *joinNode) hashJoin(ctx *execCtx, lts, rts []triplestore.Triple) (*triplestore.Relation, error) {
+	buildLeft := len(lts) < len(rts)
+	build, probe, bSide := rts, lts, 1
+	if buildLeft {
+		build, probe, bSide = lts, rts, 0
+		ctx.trace.SetAttr("build", "left")
+	} else {
+		ctx.trace.SetAttr("build", "right")
+	}
+	// pair re-checks the whole condition on a probe and a build triple.
+	pair := func(pt, bt triplestore.Triple, emit func(triplestore.Triple)) {
+		lt, rt := pt, bt
+		if buildLeft {
+			lt, rt = bt, pt
+		}
+		if n.cc.Holds(lt, rt) {
+			emit(trial.Project(n.out, lt, rt))
+		}
+	}
+	if len(n.objKeys) > 0 && len(n.cond.CrossValEqualities()) == 0 {
+		table := buildIDHashTable(build, n.objKeys, bSide)
+		return ctx.collect(probe, func(pt triplestore.Triple, emit func(triplestore.Triple)) {
+			for i := table.head[table.key(pt, 1-bSide)]; i != 0; i = table.next[i-1] {
+				pair(pt, build[i-1], emit)
+			}
+		})
+	}
+	// η (data-value) equalities key on the values' canonical strings,
+	// exactly as the Evaluator's hash join does.
+	bKey, pKey := trial.CrossEqualityKeyFuncs(ctx.e.store, n.cond)
+	if !buildLeft {
+		bKey, pKey = pKey, bKey
+	}
+	table := make(map[string][]triplestore.Triple, len(build))
+	for _, bt := range build {
+		k := bKey(bt)
+		table[k] = append(table[k], bt)
+	}
+	return ctx.collect(probe, func(pt triplestore.Triple, emit func(triplestore.Triple)) {
+		for _, bt := range table[pKey(pt)] {
+			pair(pt, bt, emit)
+		}
+	})
 }
 
 // exec evaluates the Kleene closure. Reach-shaped stars (the reachTA=

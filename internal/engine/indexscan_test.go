@@ -103,14 +103,14 @@ func TestPositionTwoBuildsNoPOS(t *testing.T) {
 	}
 }
 
-var estRE = regexp.MustCompile(`est=(\d+)`)
+var boundRE = regexp.MustCompile(`bound=(\d+)`)
 
 func atoi(s string) int { n, _ := strconv.Atoi(s); return n }
 
 // TestConstantSeededJoinPlan: a join side that fixes a constant becomes
 // an index scan, and the join probes the other side's index from it. The
-// join's estimate is the seeded side's estimate times the probe fanout,
-// not the size of the larger input.
+// plan prints sound bounds from exact sizes: the index scan's is |E|, the
+// join's |E|², and the answer fits under both.
 func TestConstantSeededJoinPlan(t *testing.T) {
 	s := propertyGraph(t)
 	e := New(s)
@@ -132,11 +132,18 @@ func TestConstantSeededJoinPlan(t *testing.T) {
 		if strings.Contains(plan, "merge") || strings.Contains(plan, "prefilter-left") {
 			t.Errorf("%s: constant side still a prefiltered scan:\n%s", q, plan)
 		}
-		first := strings.SplitN(plan, "\n", 3)[1]
-		if m := estRE.FindStringSubmatch(first); m == nil || atoi(m[1]) >= n/4 {
-			t.Errorf("%s: join estimate %q, want far below |E|=%d", q, first, n)
+		got := checkEval(t, s, q)
+		for _, line := range strings.Split(plan, "\n") {
+			want := n // the index scan
+			if strings.HasPrefix(line, "join") {
+				want = n * n
+			} else if !strings.Contains(line, "index-scan") {
+				continue
+			}
+			if m := boundRE.FindStringSubmatch(line); m == nil || atoi(m[1]) != want || got.Len() > want {
+				t.Errorf("%s: %q, want bound=%d (|E|=%d) at least the %d answers", q, line, want, n, got.Len())
+			}
 		}
-		checkEval(t, s, q)
 	}
 	// Forcing the merge join no longer applies: the seeded side is not a
 	// scan, and the answer is the same.

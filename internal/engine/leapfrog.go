@@ -109,7 +109,7 @@ type leapfrogNode struct {
 	levels []lfLevel
 	out    [3]optimizer.Slot
 	vars   [][]optimizer.Slot // variable classes in elimination order
-	rows   float64            // AGM bound estimate
+	agm    float64            // AGM bound on the output
 }
 
 // tryLeapfrog compiles a join cascade as a leapfrog triejoin when the
@@ -153,7 +153,7 @@ func (c *compiler) tryLeapfrog(n trial.Join) planNode {
 			return nil
 		}
 	}
-	lf := &leapfrogNode{atoms: atoms, out: mj.Out, vars: mj.Classes, rows: agm}
+	lf := &leapfrogNode{atoms: atoms, out: mj.Out, vars: mj.Classes, agm: agm}
 	for _, lv := range mj.Levels {
 		lf.levels = append(lf.levels, lfLevel{
 			cond:  lv.Cond,
@@ -207,9 +207,8 @@ func binaryWorstCost(mj *optimizer.MultiJoin, atoms []lfAtom) float64 {
 		case lv.LAtom >= 0:
 			produced = rCard * worstFan(lv.LAtom, keys, true)
 		default:
-			// Two derived inputs: a keyed join of intermediates keeps at
-			// most the larger side per matching key, as the average-case
-			// planner assumes.
+			// Two derived inputs: charge the larger side, a keyed
+			// join's typical size (a heuristic, not a bound).
 			produced = lCard
 			if rCard > produced {
 				produced = rCard
@@ -379,8 +378,8 @@ func (n *leapfrogNode) enumerate(cands [][]triplestore.Triple, emit func(triples
 	rec(0)
 }
 
-func (n *leapfrogNode) est() float64  { return n.rows }
-func (n *leapfrogNode) label() string { return "join:leapfrog" }
+func (n *leapfrogNode) bound() float64 { return n.agm }
+func (n *leapfrogNode) label() string  { return "join:leapfrog" }
 
 func (n *leapfrogNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
@@ -388,8 +387,8 @@ func (n *leapfrogNode) explain(b *strings.Builder, depth int) {
 	for i, a := range n.atoms {
 		names[i] = a.name
 	}
-	fmt.Fprintf(b, "join leapfrog [%s] vars=%d est=%.0f\n",
-		strings.Join(names, " * "), len(n.vars), n.rows)
+	fmt.Fprintf(b, "join leapfrog [%s] vars=%d bound=%.0f\n",
+		strings.Join(names, " * "), len(n.vars), n.agm)
 	for _, a := range n.atoms {
 		indent(b, depth+1)
 		fmt.Fprintf(b, "scan %s (%d triples)\n", a.name, a.rel.Len())

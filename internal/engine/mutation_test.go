@@ -58,7 +58,7 @@ func TestDifferentialAfterMutation(t *testing.T) {
 	// Warm the access paths, then mutate through the store so the
 	// permutation indexes are extended incrementally rather than rebuilt.
 	eng := New(s.Snapshot())
-	if _, err := eng.EvalString("join[1,3',3; 2=1'](E, E)"); err != nil {
+	if _, err := eng.Eval(trial.Example2(genstore.RelE)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {

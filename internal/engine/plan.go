@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/obs"
@@ -12,9 +13,10 @@ import (
 )
 
 // planNode is one physical operator. exec computes the operator's result
-// relation; est is the planner's (rough) output-cardinality estimate used
-// to rank join strategies; label names the operator kind for execution
-// traces; explain renders the subtree.
+// relation; bound is a sound upper bound on its output size, computed
+// from exact relation sizes, |dom| and the plan's shape alone (no
+// statistics): the output never exceeds it; label names the operator
+// kind for execution traces; explain renders the subtree.
 //
 // Operator-result contract: every operator that computes its result
 // returns a run-backed relation — a strictly sorted, duplicate-free
@@ -31,7 +33,7 @@ import (
 // Triples.
 type planNode interface {
 	exec(ctx *execCtx) (*triplestore.Relation, error)
-	est() float64
+	bound() float64
 	label() string
 	explain(b *strings.Builder, depth int)
 }
@@ -84,12 +86,10 @@ func (ctx *execCtx) finish(buf []triplestore.Triple, sortedIn bool) (*triplestor
 }
 
 // run executes one node, wrapped in a trace span when tracing is on.
-// Every operator records its output cardinality and the planner's
-// estimate, so a trace shows where estimates diverged from reality. The
-// operator boundary is also a cancellation point: once the request
-// context is done no further operator starts, so a disconnected or
-// timed-out client stops the whole plan, not just the operator that
-// noticed first.
+// Every operator records its output cardinality. The operator boundary
+// is also a cancellation point: once the request context is done no
+// further operator starts, so a disconnected or timed-out client stops
+// the whole plan, not just the operator that noticed first.
 func (ctx *execCtx) run(n planNode) (*triplestore.Relation, error) {
 	if err := ctx.ctx.Err(); err != nil {
 		return nil, err
@@ -106,7 +106,6 @@ func (ctx *execCtx) run(n planNode) (*triplestore.Relation, error) {
 		sp.SetAttr("error", err.Error())
 	} else if r != nil {
 		sp.SetAttr("out", r.Len())
-		sp.SetAttr("est", int(n.est()))
 	}
 	sp.End()
 	return r, err
@@ -161,9 +160,10 @@ func (p *compiledPlan) explainString() string {
 type joinStrategy int
 
 const (
-	// joinHash builds a hash table over the right operand keyed on the
-	// cross-side equality atoms and probes it with the left operand in
-	// parallel — the engine's form of the Proposition 4 strategy.
+	// joinHash builds a hash table keyed on the cross-side equality
+	// atoms over whichever prefiltered input is smaller at run time and
+	// probes it with the other in parallel — the engine's form of the
+	// Proposition 4 strategy.
 	joinHash joinStrategy = iota
 	// joinIndexRight probes the right base relation's permutation index
 	// with each left triple (index nested-loop join).
@@ -202,8 +202,9 @@ type scanNode struct {
 	rel  *triplestore.Relation
 }
 
+// universeNode hands out U; cube is its bound, |dom|³.
 type universeNode struct {
-	rows float64
+	cube float64
 }
 
 // indexScanNode is a selection over a base relation whose condition fixes
@@ -217,14 +218,12 @@ type indexScanNode struct {
 	id   triplestore.ID
 	cond trial.Cond
 	cc   trial.CompiledCond
-	rows float64
 }
 
 type filterNode struct {
 	child planNode
 	cond  trial.Cond
 	cc    trial.CompiledCond
-	rows  float64
 }
 
 type unionNode struct {
@@ -242,7 +241,6 @@ type diffNode struct {
 type projectNode struct {
 	child planNode
 	out   [3]int // component indexes into the input triple
-	rows  float64
 }
 
 // sharedNode wraps a subplan that occurs more than once in the plan
@@ -268,8 +266,6 @@ type joinNode struct {
 	lCond, rCond       trial.Cond
 	lCC, rCC           trial.CompiledCond
 	hasLCond, hasRCond bool
-
-	rows float64
 }
 
 type starNode struct {
@@ -300,7 +296,7 @@ type starNode struct {
 	baseCC      trial.CompiledCond
 	hasBaseCond bool
 
-	rows float64
+	cube float64 // the bound, |dom|³: every component of a derived triple is an object
 }
 
 // compiler lowers one optimized expression to physical operators. It
@@ -376,7 +372,7 @@ func (c *compiler) compile(x trial.Expr) (planNode, error) {
 	return sn, nil
 }
 
-// compileNode lowers one operator, estimating cardinalities as it goes.
+// compileNode lowers one operator.
 func (c *compiler) compileNode(x trial.Expr) (planNode, error) {
 	e := c.e
 	switch n := x.(type) {
@@ -387,10 +383,7 @@ func (c *compiler) compileNode(x trial.Expr) (planNode, error) {
 		}
 		return &scanNode{name: n.Name, rel: rel}, nil
 	case trial.Universe:
-		// |O| bounds the active domain; good enough for an estimate and
-		// avoids a full store scan at plan time.
-		d := float64(e.store.NumObjects())
-		return &universeNode{rows: d * d * d}, nil
+		return &universeNode{cube: c.domCube()}, nil
 	case trial.Select:
 		// Selection over a star, constraining only positions the star's
 		// iteration never changes: hoist it out of the fixpoint as a seed
@@ -403,7 +396,6 @@ func (c *compiler) compileNode(x trial.Expr) (planNode, error) {
 			sn.seedCond = n.Cond
 			sn.seedCC = n.Cond.Compile(e.store)
 			sn.hasSeed = true
-			sn.rows *= optimizer.Selectivity(n.Cond, triplestore.RelStats{})
 			return sn, nil
 		}
 		child, err := c.compile(n.E)
@@ -413,12 +405,7 @@ func (c *compiler) compileNode(x trial.Expr) (planNode, error) {
 		if is := c.indexScan(child, n.Cond); is != nil {
 			return is, nil
 		}
-		return &filterNode{
-			child: child,
-			cond:  n.Cond,
-			cc:    n.Cond.Compile(e.store),
-			rows:  child.est() * optimizer.Selectivity(n.Cond, scanStats(child)),
-		}, nil
+		return &filterNode{child: child, cond: n.Cond, cc: n.Cond.Compile(e.store)}, nil
 	case trial.Union:
 		l, err := c.compile(n.L)
 		if err != nil {
@@ -445,7 +432,7 @@ func (c *compiler) compileNode(x trial.Expr) (planNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &projectNode{child: child, out: out, rows: child.est()}, nil
+			return &projectNode{child: child, out: out}, nil
 		}
 		// Multiway cascades over base relations may compile to one
 		// worst-case-optimal leapfrog triejoin instead of a binary tree.
@@ -482,7 +469,7 @@ func (c *compiler) compileStar(n trial.Star) (*starNode, error) {
 		left:    n.Left,
 		objKeys: n.Cond.CrossObjEqualities(),
 		reach:   trial.StarReachShape(n),
-		rows:    child.est() * 8,
+		cube:    c.domCube(),
 	}
 	if sn.reach == trial.ReachNone {
 		// The delta iteration joins the frontier against the loop-invariant
@@ -529,17 +516,14 @@ func (c *compiler) indexScan(child planNode, cond trial.Cond) *indexScanNode {
 		id:   c.e.store.Lookup(name),
 		cond: cond,
 		cc:   cond.Compile(c.e.store),
-		rows: sc.est() * optimizer.Selectivity(cond, sc.rel.Stats()),
 	}
 }
 
-// scanStats returns the statistics of a base-relation scan, or the zero
-// stats for derived inputs.
-func scanStats(n planNode) triplestore.RelStats {
-	if sc, ok := n.(*scanNode); ok {
-		return sc.rel.Stats()
-	}
-	return triplestore.RelStats{}
+// domCube is |dom|³, the bound of U and of every star. The dictionary
+// size |O| bounds the active domain without a scan of the store.
+func (c *compiler) domCube() float64 {
+	d := float64(c.e.store.NumObjects())
+	return d * d * d
 }
 
 // condOnInvariantPositions reports whether every position cond mentions
@@ -614,26 +598,22 @@ func sideOnlyCond(c trial.Cond, right bool) (trial.Cond, bool) {
 	return out, !out.Empty()
 }
 
-// chooseJoin ranks the physical join strategies by estimated cost and
-// picks the cheapest. Costs are in "triples touched":
+// chooseJoin picks the physical join by rule, from exact relation sizes
+// and the operands' bounds; it reads no statistics:
 //
-//	hash:        |L| + |R|             (build right, probe left)
-//	index-right: |L| · fanout_R(probe) (probe right's index per left triple)
-//	index-left:  |R| · fanout_L(probe)
-//	merge:       ½ · (|L| + |R|)       (walk both permutation indexes in order)
-//	loop:        |L| · |R|             (only option without cross equalities)
+//   - no cross-side equality: loop, the only option;
+//   - a base scan S with a cross object equality on its position 1 or 3
+//     (SPO or OSP, no POS build), probed from the other side P when P is
+//     an index scan or bound(P)·(log2|S| − 1) < |S| — per probe a binary
+//     search of S's run against a pass over all of S: index-right or
+//     index-left into S (when both sides are scans, S is the larger);
+//   - both sides base scans: merge over their permutation indexes,
+//     unless the policy withholds it;
+//   - otherwise hash, built at run time on the exactly smaller input.
 //
-// fanout is the indexed relation's statistics-based bucket size for the
-// probed position (RelStats.Fanout): |R| over the position's distinct
-// count, replacing the global |O| guess of the pre-statistics planner.
-// Index strategies require the indexed side to be a base relation scan
-// (a materialized, reusable access path) and at least one cross-side
-// object equality to probe on; among the candidate equalities the
-// planner probes the one with the smallest fanout.
+// JoinForceMerge puts merge first whenever both sides are scans.
 func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) *joinNode {
 	objKeys := cond.CrossObjEqualities()
-	valKeys := cond.CrossValEqualities()
-
 	jn := &joinNode{
 		out: out, cond: cond,
 		cc:      cond.Compile(c.e.store),
@@ -641,9 +621,8 @@ func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) 
 	}
 	// A side whose side-only atoms fix a constant position of a base
 	// relation becomes an index scan carrying them; any other side keeps
-	// them as a prefilter. Either way the side's estimate is its
-	// filtered size, which is what steers a constant-seeded join to an
-	// index probe from the small side.
+	// them as a prefilter. An index-scan side is what steers a
+	// constant-seeded join to an index probe from the small side.
 	if lc, ok := sideOnlyCond(cond, false); ok {
 		if is := c.indexScan(l, lc); is != nil {
 			l = is
@@ -659,92 +638,90 @@ func (c *compiler) chooseJoin(l, r planNode, out [3]trial.Pos, cond trial.Cond) 
 		}
 	}
 	jn.l, jn.r = l, r
-	lRows, rRows := l.est(), r.est()
-	if len(objKeys)+len(valKeys) == 0 {
+	_, lScan := l.(*scanNode)
+	_, rScan := r.(*scanNode)
+	merge := lScan && rScan && len(objKeys) > 0 && c.e.joinPolicy != JoinNoWCO
+	kl, intoL := probeKey(objKeys, l, r, 0)
+	kr, intoR := probeKey(objKeys, r, l, 1)
+	if intoL && intoR {
+		// Both sides are scans: probe into the larger.
+		intoL = l.bound() > r.bound()
+		intoR = !intoL
+	}
+	switch {
+	case len(objKeys)+len(cond.CrossValEqualities()) == 0:
 		jn.strategy = joinLoop
-		jn.rows = lRows * rRows
-		return jn
-	}
-	jn.rows = lRows
-	if rRows > jn.rows {
-		jn.rows = rRows
-	}
-
-	jn.strategy = joinHash
-	cost := lRows + rRows
-	bestKey := -1
-	if sc, ok := r.(*scanNode); ok && len(objKeys) > 0 {
-		st := sc.rel.Stats()
-		k, fan := bestProbeKey(objKeys, st, false)
-		if cst := lRows * fan; cst < cost {
-			jn.strategy, cost, bestKey = joinIndexRight, cst, k
-		}
-	}
-	if sc, ok := l.(*scanNode); ok && len(objKeys) > 0 {
-		st := sc.rel.Stats()
-		k, fan := bestProbeKey(objKeys, st, true)
-		if cst := rRows * fan; cst < cost {
-			jn.strategy, cost, bestKey = joinIndexLeft, cst, k
-		}
-	}
-	if bestKey > 0 {
-		// exec probes objKeys[0]; float the chosen key to the front.
-		keys := append([][2]trial.Pos{}, objKeys...)
-		keys[0], keys[bestKey] = keys[bestKey], keys[0]
-		jn.objKeys = keys
-	}
-	// Sort-merge: when both sides are base-relation scans their
-	// permutation indexes are already materialized in key order, so the
-	// join is one linear walk — no hash table, no per-tuple key strings.
-	// Chosen only when strictly cheaper, so an index probe at fanout 1
-	// (the chain-join sweet spot) keeps its plan.
-	if c.e.joinPolicy != JoinNoWCO && len(objKeys) > 0 {
-		_, lScan := l.(*scanNode)
-		_, rScan := r.(*scanNode)
-		if lScan && rScan {
-			if cst := optimizer.MergeCostFactor * (lRows + rRows); cst < cost || c.e.joinPolicy == JoinForceMerge {
-				jn.strategy = joinMerge
-			}
-		}
-	}
-	if jn.strategy == joinIndexRight || jn.strategy == joinIndexLeft {
-		// An index join emits about what its probes match.
-		jn.rows = cost
+	case merge && c.e.joinPolicy == JoinForceMerge:
+		jn.strategy = joinMerge
+	case intoR:
+		jn.strategy = joinIndexRight
+		jn.objKeys = keyFirst(objKeys, kr)
+	case intoL:
+		jn.strategy = joinIndexLeft
+		jn.objKeys = keyFirst(objKeys, kl)
+	case merge:
+		jn.strategy = joinMerge
+	default:
+		jn.strategy = joinHash
 	}
 	return jn
 }
 
-// bestProbeKey returns the cross equality whose indexed-side position
-// has the smallest statistics-based fanout in st (the indexed relation's
-// stats). left selects which side of each key pair is indexed.
-func bestProbeKey(objKeys [][2]trial.Pos, st triplestore.RelStats, left bool) (int, float64) {
-	best, bestFan := 0, 0.0
-	for i, k := range objKeys {
-		p := k[1]
-		if left {
-			p = k[0]
-		}
-		fan := st.Fanout(p.Index())
-		if fan < 1 {
-			fan = 1
-		}
-		if i == 0 || fan < bestFan {
-			best, bestFan = i, fan
+// probeKey reports whether the join should probe side s's index from
+// side p, and on which cross equality: s must be a base scan with an
+// equality on its position 1 (preferred) or 3, and p an index scan or
+// small enough that bound(p) binary searches of s's run, log2|S| − 1
+// steps each, cost less than one pass over s. side is s's index in each
+// key pair (0 left, 1 right).
+func probeKey(objKeys [][2]trial.Pos, s, p planNode, side int) (int, bool) {
+	sc, ok := s.(*scanNode)
+	if !ok {
+		return 0, false
+	}
+	k := -1
+	for i, key := range objKeys {
+		if pos := key[side].Index(); pos == 0 {
+			k = i
+			break
+		} else if pos == 2 && k < 0 {
+			k = i
 		}
 	}
-	return best, bestFan
+	if k < 0 {
+		return 0, false
+	}
+	if _, ok := p.(*indexScanNode); ok {
+		return k, true
+	}
+	n := float64(sc.rel.Len())
+	return k, p.bound()*(math.Log2(n)-1) < n
 }
 
-func (n *scanNode) est() float64      { return float64(n.rel.Len()) }
-func (n *universeNode) est() float64  { return n.rows }
-func (n *indexScanNode) est() float64 { return n.rows }
-func (n *filterNode) est() float64    { return n.rows }
-func (n *unionNode) est() float64     { return n.l.est() + n.r.est() }
-func (n *diffNode) est() float64      { return n.l.est() }
-func (n *projectNode) est() float64   { return n.rows }
-func (n *sharedNode) est() float64    { return n.child.est() }
-func (n *joinNode) est() float64      { return n.rows }
-func (n *starNode) est() float64      { return n.rows }
+// keyFirst returns objKeys with key k moved to the front: an index join
+// probes objKeys[0].
+func keyFirst(objKeys [][2]trial.Pos, k int) [][2]trial.Pos {
+	if k == 0 {
+		return objKeys
+	}
+	keys := append([][2]trial.Pos{}, objKeys...)
+	keys[0], keys[k] = keys[k], keys[0]
+	return keys
+}
+
+// bound is a sound upper bound on the node's output size (the §5
+// quantities): a base relation's exact |R|, |dom|³ for U and stars, the
+// child's bound through a filter, projection or shared memo, the sum
+// over a union, the left side of a difference, |L|·|R| for a join.
+func (n *scanNode) bound() float64      { return float64(n.rel.Len()) }
+func (n *universeNode) bound() float64  { return n.cube }
+func (n *indexScanNode) bound() float64 { return n.scan.bound() }
+func (n *filterNode) bound() float64    { return n.child.bound() }
+func (n *unionNode) bound() float64     { return n.l.bound() + n.r.bound() }
+func (n *diffNode) bound() float64      { return n.l.bound() }
+func (n *projectNode) bound() float64   { return n.child.bound() }
+func (n *sharedNode) bound() float64    { return n.child.bound() }
+func (n *joinNode) bound() float64      { return n.l.bound() * n.r.bound() }
+func (n *starNode) bound() float64      { return n.cube }
 
 // label names the operator kind for trace spans. The name is the stable
 // aggregation key of the per-operator breakdowns (obs.Span.SelfTimes),
@@ -789,43 +766,43 @@ func (n *scanNode) explain(b *strings.Builder, depth int) {
 
 func (n *universeNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "universe est=%.0f\n", n.rows)
+	fmt.Fprintf(b, "universe bound=%.0f\n", n.cube)
 }
 
 func (n *indexScanNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "index-scan[%s] %s [%s] est=%.0f\n", n.perm, n.scan.name, n.cond.String(), n.rows)
+	fmt.Fprintf(b, "index-scan[%s] %s [%s] bound=%.0f\n", n.perm, n.scan.name, n.cond.String(), n.bound())
 }
 
 func (n *filterNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "filter [%s] est=%.0f\n", n.cond.String(), n.rows)
+	fmt.Fprintf(b, "filter [%s] bound=%.0f\n", n.cond.String(), n.bound())
 	n.child.explain(b, depth+1)
 }
 
 func (n *unionNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "union est=%.0f\n", n.est())
+	fmt.Fprintf(b, "union bound=%.0f\n", n.bound())
 	n.l.explain(b, depth+1)
 	n.r.explain(b, depth+1)
 }
 
 func (n *diffNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "diff est=%.0f\n", n.est())
+	fmt.Fprintf(b, "diff bound=%.0f\n", n.bound())
 	n.l.explain(b, depth+1)
 	n.r.explain(b, depth+1)
 }
 
 func (n *projectNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "project[%d,%d,%d] est=%.0f\n", n.out[0]+1, n.out[1]+1, n.out[2]+1, n.rows)
+	fmt.Fprintf(b, "project[%d,%d,%d] bound=%.0f\n", n.out[0]+1, n.out[1]+1, n.out[2]+1, n.bound())
 	n.child.explain(b, depth+1)
 }
 
 func (n *sharedNode) explain(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "shared#%d est=%.0f (computed once per run)\n", n.slot, n.est())
+	fmt.Fprintf(b, "shared#%d bound=%.0f (computed once per run)\n", n.slot, n.bound())
 	n.child.explain(b, depth+1)
 }
 
@@ -842,8 +819,8 @@ func (n *joinNode) explain(b *strings.Builder, depth int) {
 	if n.hasRCond {
 		pre += fmt.Sprintf(" prefilter-right=[%s]", n.rCond.String())
 	}
-	fmt.Fprintf(b, "join[%s,%s,%s%s] %s%s est=%.0f\n",
-		n.out[0], n.out[1], n.out[2], cond, n.strategy, pre, n.rows)
+	fmt.Fprintf(b, "join[%s,%s,%s%s] %s%s bound=%.0f\n",
+		n.out[0], n.out[1], n.out[2], cond, n.strategy, pre, n.bound())
 	n.l.explain(b, depth+1)
 	n.r.explain(b, depth+1)
 }
@@ -866,7 +843,7 @@ func (n *starNode) explain(b *strings.Builder, depth int) {
 	if n.hasBaseCond {
 		extra += fmt.Sprintf(" base-prefilter=[%s]", n.baseCond.String())
 	}
-	fmt.Fprintf(b, "%s[%s,%s,%s%s] %s%s est=%.0f\n",
-		name, n.out[0], n.out[1], n.out[2], cond, access, extra, n.rows)
+	fmt.Fprintf(b, "%s[%s,%s,%s%s] %s%s bound=%.0f\n",
+		name, n.out[0], n.out[1], n.out[2], cond, access, extra, n.cube)
 	n.child.explain(b, depth+1)
 }

@@ -159,7 +159,7 @@ func TestExplainIncludesRewriteTrace(t *testing.T) {
 		t.Errorf("trace does not mention the fired rule:\n%s", plan)
 	}
 	plan = explainFor(t, "E", WithoutOptimize())
-	if !strings.Contains(plan, "rewrites[v1]: off") {
+	if !strings.Contains(plan, "rewrites[v2]: off") {
 		t.Errorf("WithoutOptimize Explain should say rewrites are off:\n%s", plan)
 	}
 }

@@ -50,8 +50,8 @@ func (p *Prepared) ExecContext(ctx context.Context) (*triplestore.Relation, erro
 
 // ExecTrace computes the relation, recording one child span per
 // physical operator under sp: operator kind (join strategy, star access
-// path), planner estimate vs. actual output cardinality, join input
-// sizes and semi-naive round counts with per-round delta sizes. A nil sp
+// path), actual output cardinality, join input sizes (and a hash join's
+// build side) and semi-naive round counts with per-round delta sizes. A nil sp
 // runs exactly like Exec.
 func (p *Prepared) ExecTrace(sp *obs.Span) (*triplestore.Relation, error) {
 	return p.plan.execTrace(p.e, sp)

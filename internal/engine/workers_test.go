@@ -124,27 +124,26 @@ func TestShardedJoinModes(t *testing.T) {
 }
 
 // TestShardedExplain asserts the plan rendering names the access path of
-// subject- and predicate-probed index joins and of the semi-naive star,
-// and that no plan mentions sharding.
+// subject- and object-probed index joins and of the semi-naive star, and
+// that no plan mentions sharding.
 func TestShardedExplain(t *testing.T) {
-	// Every edge gets a distinct predicate, so the predicate-probed index
-	// has fanout 1 and beats the hash join in the cost model.
 	s := genstore.Chain(64, 64)
 	e := New(s)
+	seeded := trial.MustParse("sigma[1=n5](E)") // an index scan: the probe side
 
 	for _, c := range []struct {
 		name string
 		x    trial.Expr
 		want string
 	}{
-		{"subject-probed join", trial.MustJoin(trial.R(genstore.RelE),
+		{"subject-probed join", trial.MustJoin(seeded,
 			[3]trial.Pos{trial.L1, trial.L2, trial.R3},
 			trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L3), trial.P(trial.R1))}},
-			trial.R(genstore.RelE)), " index-"},
-		{"predicate-probed join", trial.MustJoin(trial.R(genstore.RelE),
+			trial.R(genstore.RelE)), " index-right"},
+		{"object-probed join", trial.MustJoin(trial.R(genstore.RelE),
 			[3]trial.Pos{trial.L1, trial.L3, trial.R3},
-			trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L2), trial.P(trial.R2))}},
-			trial.R(genstore.RelE)), " index-"},
+			trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L3), trial.P(trial.R1))}},
+			seeded), " index-left"},
 		// A non-reach star (the !=' atom defeats the BFS shape) runs the
 		// semi-naive delta fixpoint over an index.
 		{"semi-naive star", trial.MustParse("rstar[1,2,3'; 3=1',1!=3'](E)"), "semi-naive delta-index"},

@@ -66,7 +66,8 @@ func TestTriALToFOFixed(t *testing.T) {
 		trial.MustSelect(trial.R("E"), trial.Cond{Val: []trial.ValAtom{
 			trial.VEq(trial.RhoP(trial.L1), trial.RhoP(trial.L3)),
 		}}),
-		trial.Semijoin(trial.R("E"), trial.Cond{Obj: []trial.ObjAtom{
+		// A semijoin: the join keeping positions 1, 2, 3.
+		trial.MustJoin(trial.R("E"), [3]trial.Pos{trial.L1, trial.L2, trial.L3}, trial.Cond{Obj: []trial.ObjAtom{
 			trial.Eq(trial.P(trial.L3), trial.P(trial.R1)),
 		}}, trial.R("E")),
 		// Repeated output positions.

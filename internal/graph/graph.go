@@ -169,27 +169,3 @@ func (g *Graph) ToTriplestore() *triplestore.Store {
 	}
 	return s
 }
-
-// FromTriplestore interprets an arity-3 relation of a store as a graph:
-// each triple (s, p, o) becomes an edge labeled p. Data values of subject
-// and object nodes carry over. This is the inverse direction used when a
-// triplestore is queried with graph languages.
-func FromTriplestore(s *triplestore.Store, rel string) (*Graph, error) {
-	r := s.Relation(rel)
-	if r == nil {
-		return nil, fmt.Errorf("graph: store has no relation %q", rel)
-	}
-	g := New()
-	r.ForEach(func(t triplestore.Triple) {
-		src, label, dst := s.Name(t[0]), s.Name(t[1]), s.Name(t[2])
-		g.AddEdge(src, label, dst)
-	})
-	for _, v := range g.Nodes() {
-		if id := s.Lookup(v); id != triplestore.NoID {
-			if val := s.Value(id); val != nil {
-				g.SetValue(v, val)
-			}
-		}
-	}
-	return g, nil
-}

@@ -92,9 +92,10 @@ func TestDifferentialRandomExprs(t *testing.T) {
 }
 
 // TestDifferentialCommute: joins between relations of very different
-// sizes — the shape the commute rule fires on — are semantics-preserved,
-// in both orientations and with conditions that mirror non-trivially
-// (constants, inequalities, value atoms, primed selections fused in).
+// sizes, in both orientations and with conditions that mirror
+// non-trivially (constants, inequalities, value atoms, primed selections
+// fused in), are semantics-preserved — the shapes where the engine's
+// hash join builds on its left input.
 func TestDifferentialCommute(t *testing.T) {
 	s := genstore.Chain(30, 2)
 	s.Add("Small", "o1", "p0", "o5")
@@ -112,10 +113,6 @@ func TestDifferentialCommute(t *testing.T) {
 		x, err := trial.Parse(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
-		}
-		// The rule must actually fire for the Small-on-the-left shapes.
-		if _, tr := New(s).Optimize(x); q == queries[0] && tr.Hits() == nil {
-			t.Fatalf("commute differential case did not trigger any rewrite")
 		}
 		checkPreserves(t, s, x)
 	}

@@ -1,5 +1,4 @@
-// Package optimizer is the cost-based logical optimizer of the query
-// stack: a rule-driven rewriter over TriAL* expressions (internal/trial)
+// Package optimizer is the logical optimizer of the query stack: a rule-driven rewriter over TriAL* expressions (internal/trial)
 // that sits between the frontend translations (internal/translate) and
 // the physical planner (internal/engine). internal/query applies it
 // automatically before caching a plan.
@@ -18,11 +17,6 @@
 //   - Union flattening, duplicate-arm elimination (e ∪ e → e) and
 //     canonical arm ordering, which exposes common subexpressions across
 //     union arms to the planner's sharing pass.
-//   - Cost-based join commutation, driven by the per-relation
-//     cardinality and distinct-count statistics of
-//     internal/triplestore: joins mirror (e1 ✶ e2 = e2 ✶′ e1 with
-//     positions swapped) so the smaller side becomes the hash-build
-//     side.
 //   - Kleene-star identities for the composition-shaped (reachTA=, §5)
 //     stars, whose joins are associative: nested closures collapse
 //     ((e*)* → e*), starred arms unnest inside a starred union
@@ -30,8 +24,11 @@
 //     closures. Stars of any other shape are untouched — triple joins
 //     are not associative in general (Example 3 of the paper).
 //
-// Every rewrite is a semantics-preserving identity; statistics steer
-// only cost-based choices, never correctness. Differential tests pin
+// Every rewrite is a semantics-preserving identity decided by the
+// expression's shape alone: no rule reads the store or its statistics.
+// Join orientation is not the optimizer's business — the engine's hash
+// join builds on whichever input is smaller at run time. Differential
+// tests pin
 // optimized expressions byte-identical to the reference trial.Evaluator
 // over fixtures and random expressions.
 //

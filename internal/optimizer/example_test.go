@@ -20,5 +20,5 @@ func ExampleOptimizer_Optimize() {
 	fmt.Println(trace)
 	// Output:
 	// sigma[1=2](E)
-	// rewrites[v1]: dedupe-union x1 (4 -> 2 nodes, 2 passes)
+	// rewrites[v2]: dedupe-union x1 (4 -> 2 nodes, 2 passes)
 }

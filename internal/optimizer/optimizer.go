@@ -10,7 +10,7 @@ import (
 // Version identifies the rule set. It is part of internal/query's plan
 // cache key, so changing the rules (and bumping the version) makes every
 // cached plan unreachable instead of silently stale.
-const Version = 1
+const Version = 2
 
 // maxPasses bounds the rewrite-to-fixpoint loop. Each pushdown rule
 // recurses into the expression it creates, so a pass normally reaches a
@@ -19,37 +19,25 @@ const Version = 1
 const maxPasses = 8
 
 // Optimizer rewrites TriAL* expressions using the algebraic identities
-// of the paper, guided (for the cost-based rules) by the store's
-// per-relation statistics. A nil-store Optimizer applies only the
-// statistics-free rules. The zero value is usable.
-type Optimizer struct {
-	store    *triplestore.Store
-	stats    triplestore.StoreStats
-	hasStats bool
-}
+// of the paper. Every rule is decided by the expression's shape alone:
+// no rule reads the store or its statistics, and the physical planner
+// (internal/engine) picks join orientation and access paths from exact
+// sizes. The zero value is usable.
+type Optimizer struct{}
 
-// New returns an optimizer over the store's current statistics snapshot
-// (triplestore.Store.Stats). s may be nil, disabling the cost-based
-// rules.
-func New(s *triplestore.Store) *Optimizer {
-	o := &Optimizer{store: s}
-	if s != nil {
-		o.stats = s.Stats()
-		o.hasStats = true
-	}
-	return o
-}
+// New returns an optimizer. Its rules do not depend on the store; the
+// argument is accepted so that callers holding a store keep one way to
+// build the optimizer for it.
+func New(*triplestore.Store) *Optimizer { return &Optimizer{} }
 
 // Optimize rewrites e to fixpoint and reports what it did. The result
-// computes exactly the same relation as e over every store consistent
-// with the statistics contract (rewrites are semantics-preserving
-// identities; statistics only steer cost-based choices, never
-// correctness).
+// computes exactly the same relation as e over every store: each rewrite
+// is a semantics-preserving identity.
 func (o *Optimizer) Optimize(e trial.Expr) (trial.Expr, *Trace) {
 	tr := &Trace{InputNodes: trial.Size(e)}
 	cur, prev := e, ""
 	for pass := 0; pass < maxPasses; pass++ {
-		rw := &rewriter{o: o, tr: tr}
+		rw := &rewriter{tr: tr}
 		cur = rw.rewrite(cur)
 		tr.Passes++
 		s := cur.String()
@@ -62,16 +50,8 @@ func (o *Optimizer) Optimize(e trial.Expr) (trial.Expr, *Trace) {
 	return cur, tr
 }
 
-// Optimize is the stats-free convenience form: the rewrites of a zero
-// Optimizer, discarding the trace.
-func Optimize(e trial.Expr) trial.Expr {
-	out, _ := (&Optimizer{}).Optimize(e)
-	return out
-}
-
 // rewriter is one bottom-up pass; it accumulates rule hits in the trace.
 type rewriter struct {
-	o  *Optimizer
 	tr *Trace
 }
 
@@ -200,16 +180,13 @@ func rebuildUnion(arms []trial.Expr) trial.Expr {
 	return acc
 }
 
-// rewriteJoin canonicalizes projections and applies the cost-based
-// commute rule:
+// rewriteJoin canonicalizes projections:
 //
 //	π_out2(π_out1(e))   → π_{out1∘out2}(e)     compose-projections
-//	e1 ✶^{out}_θ e2     → e2 ✶^{out′}_{θ′} e1  commute-join
 //
-// Joins commute by mirroring every position (i ↔ i′) in the output list
-// and the condition. The engine builds its hash table over the right
-// operand and probes with the left in parallel, so when statistics say
-// the right side is much larger than the left the operands are swapped.
+// Join operands keep their written order: the engine's hash join builds
+// on whichever input is smaller at run time, so orientation needs no
+// rewrite.
 func (p *rewriter) rewriteJoin(x trial.Join) trial.Expr {
 	l := p.rewrite(x.L)
 	r := l
@@ -229,12 +206,6 @@ func (p *rewriter) rewriteJoin(x trial.Join) trial.Expr {
 		}
 		return norm
 	}
-	if p.o.hasStats && len(j.Cond.CrossObjEqualities())+len(j.Cond.CrossValEqualities()) > 0 {
-		if p.o.Estimate(j.R) > commuteRatio*p.o.Estimate(j.L) {
-			p.hit("commute-join")
-			return mirrorJoin(j)
-		}
-	}
 	return j
 }
 
@@ -250,50 +221,6 @@ func asProjection(e trial.Expr) ([3]int, trial.Expr, bool) {
 		return [3]int{}, nil, false
 	}
 	return out, j.L, true
-}
-
-// mirrorJoin swaps a join's operands, mirroring output positions and
-// condition sides: at(mirror(p), t2, t1) = at(p, t1, t2), so the result
-// is the same set of triples.
-func mirrorJoin(j trial.Join) trial.Join {
-	return trial.Join{
-		L:    j.R,
-		R:    j.L,
-		Out:  [3]trial.Pos{mirrorPos(j.Out[0]), mirrorPos(j.Out[1]), mirrorPos(j.Out[2])},
-		Cond: mirrorCond(j.Cond),
-	}
-}
-
-func mirrorPos(p trial.Pos) trial.Pos {
-	if p.Left() {
-		return p + 3
-	}
-	return p - 3
-}
-
-func mirrorCond(c trial.Cond) trial.Cond {
-	var m trial.Cond
-	for _, a := range c.Obj {
-		m.Obj = append(m.Obj, trial.ObjAtom{L: mirrorObjTerm(a.L), R: mirrorObjTerm(a.R), Neq: a.Neq})
-	}
-	for _, a := range c.Val {
-		m.Val = append(m.Val, trial.ValAtom{L: mirrorValTerm(a.L), R: mirrorValTerm(a.R), Neq: a.Neq, Component: a.Component})
-	}
-	return m
-}
-
-func mirrorObjTerm(t trial.ObjTerm) trial.ObjTerm {
-	if t.IsConst {
-		return t
-	}
-	return trial.P(mirrorPos(t.Pos))
-}
-
-func mirrorValTerm(t trial.ValTerm) trial.ValTerm {
-	if t.IsLit {
-		return t
-	}
-	return trial.RhoP(mirrorPos(t.Pos))
 }
 
 // rewriteStar applies the closure identities of the composition-shaped

@@ -143,31 +143,24 @@ func TestStarRules(t *testing.T) {
 	}
 }
 
+// TestCommuteJoin: join operands keep their written order. The engine's
+// hash join builds on the smaller input at run time, so no rule mirrors
+// a lopsided join, whatever the relation sizes.
 func TestCommuteJoin(t *testing.T) {
 	s := genstore.Chain(40, 1) // E has 40-ish triples
 	s.Add("Small", "a", "p", "b")
 	s.Add("Small", "b", "p", "c")
 
 	o := New(s)
-	// Small side on the left, big side on the right: commuted so the big
-	// side is probed and the small side is built.
-	x := mustParse(t, "join[1,2,3'; 3=1'](Small, E)")
-	got, tr := o.Optimize(x)
-	if got.String() != "join[1',2',3; 3'=1](E, Small)" {
-		t.Errorf("commute-join = %s", got)
-	}
-	wantRule(t, tr, "commute-join")
-
-	// Already well-ordered joins stay put.
-	x = mustParse(t, "join[1,2,3'; 3=1'](E, Small)")
-	if got, _ := o.Optimize(x); got.String() != "join[1,2,3'; 3=1'](E, Small)" {
-		t.Errorf("well-ordered join commuted: %s", got)
-	}
-
-	// Without a cross-side key there is nothing to gain; no commute.
-	x = mustParse(t, "join[1,2,3'](Small, E)")
-	if got, _ := o.Optimize(x); got.String() != "join[1,2,3'](Small, E)" {
-		t.Errorf("keyless join commuted: %s", got)
+	for _, q := range []string{
+		"join[1,2,3'; 3=1'](Small, E)",
+		"join[1,2,3'; 3=1'](E, Small)",
+		"join[1,2,3'](Small, E)",
+	} {
+		got, tr := o.Optimize(mustParse(t, q))
+		if got.String() != q || tr.Changed() {
+			t.Errorf("%s rewritten to %s (%v)", q, got, tr.Hits())
+		}
 	}
 }
 
@@ -190,31 +183,5 @@ func TestTraceRendering(t *testing.T) {
 	var nilTrace *Trace
 	if got := nilTrace.String(); !strings.Contains(got, "off") {
 		t.Errorf("nil trace rendering = %q", got)
-	}
-}
-
-func TestEstimate(t *testing.T) {
-	s := genstore.Chain(10, 1)
-	o := New(s)
-	relCard := o.Estimate(trial.R(genstore.RelE))
-	if relCard <= 0 {
-		t.Fatalf("Estimate(E) = %v, want positive", relCard)
-	}
-	// A point selection on a base relation is estimated from distinct
-	// counts: strictly smaller than the scan.
-	sel := trial.MustSelect(trial.R(genstore.RelE), trial.Cond{Obj: []trial.ObjAtom{
-		trial.Eq(trial.P(trial.L1), trial.Obj("n1")),
-	}})
-	if got := o.Estimate(sel); got >= relCard {
-		t.Errorf("Estimate(point select) = %v, want < %v", got, relCard)
-	}
-	// Keyless joins estimate as products, keyed joins as the larger side.
-	keyless := trial.MustJoin(trial.R(genstore.RelE), [3]trial.Pos{trial.L1, trial.L2, trial.R3},
-		trial.Cond{}, trial.R(genstore.RelE))
-	keyed := trial.MustJoin(trial.R(genstore.RelE), [3]trial.Pos{trial.L1, trial.L2, trial.R3},
-		trial.Cond{Obj: []trial.ObjAtom{trial.Eq(trial.P(trial.L3), trial.P(trial.R1))}},
-		trial.R(genstore.RelE))
-	if o.Estimate(keyless) <= o.Estimate(keyed) {
-		t.Errorf("keyless estimate %v not above keyed %v", o.Estimate(keyless), o.Estimate(keyed))
 	}
 }

@@ -65,8 +65,8 @@ func (t *Trace) Changed() bool { return len(t.hits) > 0 }
 // String renders the trace as a single line, the form Engine.Explain and
 // the server's /explain prepend to the physical plan:
 //
-//	rewrites[v1]: fuse-selections x2, dedupe-union x1 (17 -> 9 nodes, 3 passes)
-//	rewrites[v1]: none
+//	rewrites[v2]: fuse-selections x2, dedupe-union x1 (17 -> 9 nodes, 3 passes)
+//	rewrites[v2]: none
 func (t *Trace) String() string {
 	if t == nil {
 		return fmt.Sprintf("rewrites[v%d]: off", Version)

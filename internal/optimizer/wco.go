@@ -237,13 +237,6 @@ func AGMCycleBound(cards []float64) float64 {
 	return math.Sqrt(p)
 }
 
-// MergeCostFactor scales the linear pass of a sort-merge join relative
-// to a hash join over the same inputs: both are O(|L|+|R|) in tuples
-// touched, but the merge walks two already-materialized permutation
-// indexes in order — no hash table build, no per-tuple key string — so
-// the planner charges it half the per-tuple cost.
-const MergeCostFactor = 0.5
-
 // unionFind is a standard disjoint-set forest with path halving.
 type unionFind struct {
 	parent []int

@@ -12,7 +12,8 @@
 // identity through every route and requiring equality:
 //
 //   - join commutation: e1 ✶^{out}_θ e2 ≡ e2 ✶^{mirror(out)}_{mirror(θ)} e1,
-//     the identity behind the optimizer's commute-join rule;
+//     the identity that lets the engine's hash join build on either
+//     input;
 //   - closure idempotence: (e*)* ≡ e* for the composition-shaped
 //     (reachTA=) stars, the collapse-nested-star identity of §5;
 //   - union laws: associativity, commutativity and idempotence

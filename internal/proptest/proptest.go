@@ -239,7 +239,7 @@ func RandomStore(rng *rand.Rand) (*triplestore.Store, string) {
 // MirrorJoin returns the commuted join e2 ✶^{mirror(out)}_{mirror(θ)} e1:
 // every position flips side (i ↔ i′), so at(mirror(p), t2, t1) =
 // at(p, t1, t2) and both joins denote the same relation — the identity
-// behind the optimizer's commute-join rewrite.
+// that lets the engine's hash join build on either input.
 func MirrorJoin(j trial.Join) trial.Join {
 	return trial.Join{
 		L:    j.R,

@@ -41,7 +41,7 @@ func TestPropertyEquivalence(t *testing.T) {
 		s, label := RandomStore(rng)
 		cfgs := exprConfigs(s)
 		routes := RoutesWithDisk(t, s)
-		opt := optimizer.New(s)
+		cost := newCostEstimate(s)
 		domain := len(s.ActiveDomain())
 		for i := 0; i < perStore; i++ {
 			cfg := cfgs[i%len(cfgs)]
@@ -51,9 +51,8 @@ func TestPropertyEquivalence(t *testing.T) {
 			}
 			x := genstore.RandomExpr(rng, cfg)
 			// Cost guard: nested no-key joins square intermediate sizes,
-			// and the property needs many pairs, not a few huge ones. The
-			// planner's own cardinality estimate is the gate.
-			if opt.Estimate(x) > 50_000 {
+			// and the property needs many pairs, not a few huge ones.
+			if cost.of(x) > 50_000 {
 				continue
 			}
 			if CheckExpr(t, s, x, routes) {

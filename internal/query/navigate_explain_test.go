@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/genstore"
+	"repro/internal/obs"
 )
 
 // navigateShapes are the query texts of the benchmark's navigate-mem
@@ -32,34 +33,76 @@ var navigateShapes = []struct {
 	}},
 }
 
-// navigateExplains renders the plan of every navigate-mem shape over the
-// workload's dataset at 10k entities, for a few predicate pairs (the
-// statistics, and so the plans, do not depend on which predicate).
-func navigateExplains(t *testing.T) string {
+// navigatePool is the navigate-mem workload's dataset at 10k entities,
+// with a few predicate pairs per shape (the plans do not depend on which
+// predicate).
+func navigatePool(t *testing.T, each func(q *Querier, lang Lang, src string)) {
 	t.Helper()
 	s, err := genstore.PropertyGraph(1, 10_000, 30_000).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := New(s)
-	var b strings.Builder
 	for _, sh := range navigateShapes {
 		for _, ab := range [][2]string{{"rel0", "rel1"}, {"rel11", "rel11"}, {"rel23", "rel7"}} {
-			src := sh.text(ab[0], ab[1])
-			plan, err := q.Explain(sh.lang, src)
-			if err != nil {
-				t.Fatalf("%s %s: %v", sh.lang, src, err)
-			}
-			fmt.Fprintf(&b, "== %s %s\n%s\n", sh.lang, src, plan)
+			each(q, sh.lang, sh.text(ab[0], ab[1]))
 		}
 	}
+}
+
+// navigateExplains renders the plan of every navigate-mem shape.
+func navigateExplains(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	navigatePool(t, func(q *Querier, lang Lang, src string) {
+		plan, err := q.Explain(lang, src)
+		if err != nil {
+			t.Fatalf("%s %s: %v", lang, src, err)
+		}
+		fmt.Fprintf(&b, "== %s %s\n%s\n", lang, src, plan)
+	})
 	return b.String()
 }
 
-// TestNavigatePlansUnchanged: the planner's constant access paths and
-// join estimates touch only plans with a subject or object constant or
-// an index join, so every navigate-mem plan renders byte-identically to
-// the golden file, recorded before index scans existed.
+// TestHashJoinsBuildOnSmallerInput: every hash join over the navigate
+// pool builds its table on the exactly smaller input, named by the
+// span's build attribute. No navigate hash join carries a side
+// prefilter, so in_left and in_right are the inputs the choice is
+// between. nre (a·[type])* has the lopsided one: 10,000 type triples
+// against 1,211.
+func TestHashJoinsBuildOnSmallerInput(t *testing.T) {
+	lefts := 0
+	navigatePool(t, func(q *Querier, lang Lang, src string) {
+		_, root, err := q.QueryTrace(lang, src)
+		if err != nil {
+			t.Fatalf("%s %s: %v", lang, src, err)
+		}
+		var walk func(sp *obs.Span)
+		walk = func(sp *obs.Span) {
+			if sp.Name() == "join:hash" {
+				l, r := sp.Attr("in_left").(int), sp.Attr("in_right").(int)
+				want := "right"
+				if l < r {
+					want, lefts = "left", lefts+1
+				}
+				if got := sp.Attr("build"); got != want {
+					t.Errorf("%s %s: hash join over %d/%d rows builds %v, want %s", lang, src, l, r, got, want)
+				}
+			}
+			for _, c := range sp.Children() {
+				walk(c)
+			}
+		}
+		walk(root)
+	})
+	if lefts == 0 {
+		t.Error("no hash join built on its left input: the pool lost its lopsided joins")
+	}
+}
+
+// TestNavigatePlansUnchanged: every navigate-mem plan renders
+// byte-identically to the golden file, so the benchmark's kernels,
+// operand orders and bounds change only on purpose.
 func TestNavigatePlansUnchanged(t *testing.T) {
 	want, err := os.ReadFile("testdata/navigate_explain.golden")
 	if err != nil {

@@ -1,11 +1,8 @@
 package rdf
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/triplestore"
@@ -111,61 +108,4 @@ func FromStore(s *triplestore.Store, rel string) (*Document, error) {
 		d.Add(s.Name(t[0]), s.Name(t[1]), s.Name(t[2]))
 	})
 	return d, nil
-}
-
-// ReadNTriples parses a small subset of the N-Triples syntax: lines of the
-// form `<s> <p> <o> .` with URIs in angle brackets, plus blank lines and
-// `#` comments. Literals and blank nodes are rejected — the paper works
-// with ground RDF documents.
-func ReadNTriples(r io.Reader) (*Document, error) {
-	d := NewDocument()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !strings.HasSuffix(line, ".") {
-			return nil, fmt.Errorf("rdf: line %d: missing terminating '.'", lineNo)
-		}
-		line = strings.TrimSpace(strings.TrimSuffix(line, "."))
-		var parts []string
-		for len(line) > 0 {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				break
-			}
-			if line[0] != '<' {
-				return nil, fmt.Errorf("rdf: line %d: only ground URIs are supported", lineNo)
-			}
-			end := strings.IndexByte(line, '>')
-			if end < 0 {
-				return nil, fmt.Errorf("rdf: line %d: unterminated URI", lineNo)
-			}
-			parts = append(parts, line[1:end])
-			line = line[end+1:]
-		}
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("rdf: line %d: want 3 URIs, got %d", lineNo, len(parts))
-		}
-		d.Add(parts[0], parts[1], parts[2])
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// WriteNTriples writes the document in the subset syntax read by
-// ReadNTriples, sorted.
-func (d *Document) WriteNTriples(w io.Writer) error {
-	for _, t := range d.Triples() {
-		if _, err := fmt.Fprintf(w, "<%s> <%s> <%s> .\n", t.S, t.P, t.O); err != nil {
-			return err
-		}
-	}
-	return nil
 }

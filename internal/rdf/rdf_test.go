@@ -1,8 +1,6 @@
 package rdf
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -64,45 +62,5 @@ func TestToStoreFromStore(t *testing.T) {
 	}
 	if _, err := FromStore(s, "missing"); err == nil {
 		t.Error("want error for missing relation")
-	}
-}
-
-func TestNTriplesRoundTrip(t *testing.T) {
-	in := `# a comment
-<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .
-
-<s> <p> <o> .
-`
-	d, err := ReadNTriples(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	var buf bytes.Buffer
-	if err := d.WriteNTriples(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := ReadNTriples(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Len() != 2 || !d2.Has("http://ex.org/a", "http://ex.org/p", "http://ex.org/b") {
-		t.Error("roundtrip lost triples")
-	}
-}
-
-func TestNTriplesErrors(t *testing.T) {
-	for _, in := range []string{
-		"<a> <b> <c>",         // missing period
-		"<a> <b> .",           // two URIs
-		"<a> <b> <c> <d> .",   // four URIs
-		`<a> <b> "literal" .`, // literal
-		"<a> <b> <unterminated .",
-	} {
-		if _, err := ReadNTriples(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadNTriples(%q): want error", in)
-		}
 	}
 }

@@ -478,13 +478,3 @@ func (rc *reachCache) from(src triplestore.ID) []triplestore.ID {
 	rc.memo[src] = order
 	return order
 }
-
-// Pairs13 projects a relation to its (subject, object) pairs — the π₁,₃
-// used in §6.2 to compare TriAL* with binary graph query languages.
-func Pairs13(r *triplestore.Relation) map[[2]triplestore.ID]bool {
-	out := make(map[[2]triplestore.ID]bool, r.Len())
-	r.ForEach(func(t triplestore.Triple) {
-		out[[2]triplestore.ID{t[0], t[2]}] = true
-	})
-	return out
-}

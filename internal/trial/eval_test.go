@@ -489,34 +489,36 @@ func TestSize(t *testing.T) {
 	}
 }
 
-// TestPairs13 checks the π₁,₃ projection used for the §6.2 comparisons.
-func TestPairs13(t *testing.T) {
-	s := transport()
-	ev := NewEvaluator(s)
-	r := mustEval(t, ev, Example2("E"))
-	pairs := Pairs13(r)
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %d, want 3", len(pairs))
-	}
-	key := [2]triplestore.ID{s.Lookup("Edinburgh"), s.Lookup("London")}
-	if !pairs[key] {
-		t.Error("missing (Edinburgh, London)")
-	}
-	// Triples differing only in the middle collapse to one pair.
-	s2 := triplestore.NewStore()
-	s2.Add("E", "a", "p", "b")
-	s2.Add("E", "a", "q", "b")
-	r2 := mustEval(t, NewEvaluator(s2), R("E"))
-	if got := Pairs13(r2); len(got) != 1 {
-		t.Errorf("collapsed pairs = %d, want 1", len(got))
-	}
-}
-
 // TestRelations checks relation-name collection.
 func TestRelations(t *testing.T) {
 	e := Union{L: R("A"), R: Diff{L: R("B"), R: R("A")}}
 	got := Relations(e)
 	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
 		t.Errorf("Relations = %v", got)
+	}
+}
+
+// TestSemijoin: a semijoin is the join that keeps positions 1, 2, 3 —
+// closure makes it a derived operator (the semijoin fragment of §7) —
+// and an antijoin the difference with it.
+func TestSemijoin(t *testing.T) {
+	s := transport()
+	ev := NewEvaluator(s)
+	// Triples whose predicate is the subject of a part_of triple: the
+	// three service edges, whose operators have a part_of parent.
+	cond := Cond{Obj: []ObjAtom{
+		Eq(P(L2), P(R1)),
+		Eq(P(R2), Obj("part_of")),
+	}}
+	semi := MustJoin(R("E"), [3]Pos{L1, L2, L3}, cond, R("E"))
+	r := mustEval(t, ev, semi)
+	wantExactly(t, s, r, [][3]string{
+		{"St. Andrews", "Bus Op 1", "Edinburgh"},
+		{"Edinburgh", "Train Op 1", "London"},
+		{"London", "Train Op 2", "Brussels"},
+	})
+	ra := mustEval(t, ev, Diff{L: R("E"), R: semi})
+	if ra.Len() != 4 {
+		t.Errorf("antijoin size = %d, want 4 (the part_of triples)", ra.Len())
 	}
 }

@@ -1,14 +1,27 @@
-package trial
+package trial_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/optimizer"
+	. "repro/internal/trial"
 )
+
+// The rewrite rules of the paper's algebra — selection fusion and
+// pushdown, union idempotence — live in internal/optimizer, which
+// imports this package; these tests check them from here, over this
+// package's random stores and expressions.
+
+func optimize(e Expr) Expr {
+	out, _ := optimizer.New(nil).Optimize(e)
+	return out
+}
 
 func TestOptimizeFusesSelections(t *testing.T) {
 	e := MustSelect(MustSelect(R("E"), Cond{Obj: []ObjAtom{Eq(P(L1), P(L2))}}),
 		Cond{Obj: []ObjAtom{Neq(P(L2), P(L3))}})
-	o := Optimize(e)
+	o := optimize(e)
 	sel, ok := o.(Select)
 	if !ok {
 		t.Fatalf("optimized to %T (%s)", o, o)
@@ -23,7 +36,7 @@ func TestOptimizeFusesSelections(t *testing.T) {
 
 func TestOptimizeDropsEmptySelection(t *testing.T) {
 	e := MustSelect(R("E"), Cond{})
-	if got := Optimize(e); got.String() != "E" {
+	if got := optimize(e); got.String() != "E" {
 		t.Errorf("Optimize = %s", got)
 	}
 }
@@ -31,7 +44,7 @@ func TestOptimizeDropsEmptySelection(t *testing.T) {
 func TestOptimizePushesIntoJoin(t *testing.T) {
 	join := Example2("E") // out = (1, 3', 3)
 	sel := MustSelect(join, Cond{Obj: []ObjAtom{Eq(P(L2), Obj("NatExpress"))}})
-	o := Optimize(sel)
+	o := optimize(sel)
 	j, ok := o.(Join)
 	if !ok {
 		t.Fatalf("optimized to %T (%s)", o, o)
@@ -51,8 +64,8 @@ func TestOptimizePushesIntoJoin(t *testing.T) {
 
 func TestOptimizeUnionIdempotence(t *testing.T) {
 	e := Union{L: Example2("E"), R: Example2("E")}
-	if _, ok := Optimize(e).(Join); !ok {
-		t.Errorf("duplicate union not collapsed: %s", Optimize(e))
+	if _, ok := optimize(e).(Join); !ok {
+		t.Errorf("duplicate union not collapsed: %s", optimize(e))
 	}
 }
 
@@ -62,17 +75,17 @@ func TestOptimizeUnionIdempotence(t *testing.T) {
 func TestOptimizePreservesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 250; i++ {
-		s := randStore(rng, 4+rng.Intn(5), 3+rng.Intn(12))
-		e := randExprT(rng, 4)
-		o := Optimize(e)
-		want := mustEval(t, NewEvaluator(s), e)
-		hash := mustEval(t, NewEvaluator(s), o)
+		s := RandStore(rng, 4+rng.Intn(5), 3+rng.Intn(12))
+		e := RandExprT(rng, 4)
+		o := optimize(e)
+		want := MustEval(t, NewEvaluator(s), e)
+		hash := MustEval(t, NewEvaluator(s), o)
 		if !hash.Equal(want) {
 			t.Fatalf("optimizer changed semantics (hash)\noriginal: %s\noptimized: %s", e, o)
 		}
 		naive := NewEvaluator(s)
 		naive.Mode = ModeNaive
-		nv := mustEval(t, naive, o)
+		nv := MustEval(t, naive, o)
 		if !nv.Equal(want) {
 			t.Fatalf("optimizer changed semantics (naive)\noriginal: %s\noptimized: %s", e, o)
 		}
@@ -82,54 +95,28 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 func TestOptimizeIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 100; i++ {
-		e := randExprT(rng, 4)
-		once := Optimize(e)
-		twice := Optimize(once)
+		e := RandExprT(rng, 4)
+		once := optimize(e)
+		twice := optimize(once)
 		if once.String() != twice.String() {
 			t.Fatalf("optimizer not idempotent:\nonce: %s\ntwice: %s", once, twice)
 		}
 	}
 }
 
-func TestSemijoin(t *testing.T) {
-	s := transport()
-	ev := NewEvaluator(s)
-	// Triples whose predicate has a part_of parent.
-	semi := Semijoin(R("E"), Cond{Obj: []ObjAtom{
-		Eq(P(L2), P(R1)),
-		Eq(P(R2), Obj("part_of")),
-	}}, R("E"))
-	r := mustEval(t, ev, semi)
-	// Exactly the three city/service/city triples plus (EastCoast, ...)? —
-	// triples whose middle object is the subject of a part_of triple:
-	// the three service edges (their operators have part_of) …
-	wantExactly(t, s, r, [][3]string{
-		{"St. Andrews", "Bus Op 1", "Edinburgh"},
-		{"Edinburgh", "Train Op 1", "London"},
-		{"London", "Train Op 2", "Brussels"},
-	})
-	anti := Antijoin(R("E"), Cond{Obj: []ObjAtom{
-		Eq(P(L2), P(R1)),
-		Eq(P(R2), Obj("part_of")),
-	}}, R("E"))
-	ra := mustEval(t, ev, anti)
-	if ra.Len() != 4 {
-		t.Errorf("antijoin size = %d, want 4 (the part_of triples)", ra.Len())
-	}
-}
-
-func TestSemijoinOnly(t *testing.T) {
-	semi := Semijoin(R("E"), Cond{}, R("F"))
-	if !SemijoinOnly(semi) {
-		t.Error("semijoin should be in the fragment")
-	}
-	if !SemijoinOnly(Antijoin(R("E"), Cond{}, R("F"))) {
-		t.Error("antijoin should be in the fragment")
-	}
-	if SemijoinOnly(Example2("E")) {
-		t.Error("general join should not be in the fragment")
-	}
-	if SemijoinOnly(ReachRight("E")) {
-		t.Error("stars should not be in the fragment")
+// TestOptimizePreservesFragmentsQuick: optimization keeps an expression
+// inside TriAL= and never increases the AST size.
+func TestOptimizePreservesFragmentsQuick(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 200; i++ {
+		e := RandExprT(rng, 4)
+		o := optimize(e)
+		if EqualityOnly(e) && !EqualityOnly(o) {
+			t.Fatalf("optimizer left TriAL=: %s → %s", e, o)
+		}
+		if Size(o) > Size(e) {
+			t.Fatalf("optimizer grew the expression: %s (%d) → %s (%d)",
+				e, Size(e), o, Size(o))
+		}
 	}
 }

@@ -91,23 +91,6 @@ func TestProjectQuick(t *testing.T) {
 	}
 }
 
-// TestOptimizePreservesFragmentsQuick: optimization keeps an expression
-// inside TriAL= and never increases the AST size.
-func TestOptimizePreservesFragmentsQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 200; i++ {
-		e := randExprT(rng, 4)
-		o := Optimize(e)
-		if EqualityOnly(e) && !EqualityOnly(o) {
-			t.Fatalf("optimizer left TriAL=: %s → %s", e, o)
-		}
-		if Size(o) > Size(e) {
-			t.Fatalf("optimizer grew the expression: %s (%d) → %s (%d)",
-				e, Size(e), o, Size(o))
-		}
-	}
-}
-
 // TestParseRenderedRandomQuick: every randomly generated expression's
 // rendering re-parses to an identical rendering.
 func TestParseRenderedRandomQuick(t *testing.T) {

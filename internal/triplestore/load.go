@@ -114,18 +114,3 @@ func splitFields(text string) ([]string, error) {
 	}
 	return fields, nil
 }
-
-// WriteTriples writes the named relation in the tab-separated text format
-// accepted by ReadTriples, sorted lexicographically by interned names.
-func WriteTriples(s *Store, w io.Writer, rel string) error {
-	r := s.Relation(rel)
-	if r == nil {
-		return fmt.Errorf("no relation %q", rel)
-	}
-	for _, t := range r.Triples() {
-		if _, err := fmt.Fprintf(w, "%s\t%s\t%s\n", s.Name(t[0]), s.Name(t[1]), s.Name(t[2])); err != nil {
-			return err
-		}
-	}
-	return nil
-}

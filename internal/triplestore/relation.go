@@ -23,9 +23,9 @@ import (
 // An operator emits triples into a slice, sorts it once and drops
 // adjacent duplicates (SortDedupe) — or skips the sort when its input
 // order already guarantees the output order, as a filter over a sorted
-// run does — and hands the slice over with RelationFromRun. Union,
-// Difference and Intersection are linear merges of their operands' runs,
-// and their result is again a run. Triples and Index(SPO) alias the one
+// run does — and hands the slice over with RelationFromRun. Union and
+// Difference are linear merges of their operands' runs, and their
+// result is again a run. Triples and Index(SPO) alias the one
 // SPO run instead of deriving a copy each.
 //
 // A relation may instead be source-backed: src serves the content
@@ -233,68 +233,52 @@ func (r *Relation) withDelta(adds, dels []Triple, inPlace bool) *Relation {
 	return out
 }
 
-// mergeSets walks two strictly sorted runs in step. keepA, keepB and
-// keepBoth select which triples reach the output: those only in a, only
-// in b, and in both — union is (true, true, true), difference (true,
-// false, false), intersection (false, false, true). The output is again
-// strictly sorted.
-func mergeSets(a, b []Triple, keepA, keepB, keepBoth bool) []Triple {
-	n := 0
-	if keepA {
-		n += len(a)
-	}
-	if keepB {
+// mergeSets walks two strictly sorted runs in step. Every triple of a
+// reaches the output, except — unless union — those also in b; with
+// union the triples only in b are added: union(a, b) or a − b. The
+// output is again strictly sorted.
+func mergeSets(a, b []Triple, union bool) []Triple {
+	n := len(a)
+	if union {
 		n += len(b)
-	}
-	if !keepA && !keepB {
-		n = min(len(a), len(b))
 	}
 	out := make([]Triple, 0, n)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch c := a[i].Compare(b[j]); {
 		case c < 0:
-			if keepA {
-				out = append(out, a[i])
-			}
+			out = append(out, a[i])
 			i++
 		case c > 0:
-			if keepB {
+			if union {
 				out = append(out, b[j])
 			}
 			j++
 		default:
-			if keepBoth {
+			if union {
 				out = append(out, a[i])
 			}
 			i++
 			j++
 		}
 	}
-	if keepA {
-		out = append(out, a[i:]...)
-	}
-	if keepB {
+	out = append(out, a[i:]...)
+	if union {
 		out = append(out, b[j:]...)
 	}
 	return out
 }
 
 // Union returns a new relation containing the triples of a and b. Like
-// Difference and Intersection it is a linear merge of the operands' runs,
-// and its result is a run.
+// Difference it is a linear merge of the operands' runs, and its result
+// is a run.
 func Union(a, b *Relation) *Relation {
-	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), true, true, true))
+	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), true))
 }
 
 // Difference returns a new relation containing triples of a not in b.
 func Difference(a, b *Relation) *Relation {
-	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), true, false, false))
-}
-
-// Intersection returns a new relation containing triples in both a and b.
-func Intersection(a, b *Relation) *Relation {
-	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), false, false, true))
+	return RelationFromRun(mergeSets(a.Triples(), b.Triples(), false))
 }
 
 // Equal reports whether a and b contain exactly the same triples.

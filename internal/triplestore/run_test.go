@@ -178,9 +178,9 @@ func representations(ts []Triple) map[string]*Relation {
 	}
 }
 
-// TestSetOpsMatchMapOracle: the merge-based Union, Difference and
-// Intersection against set arithmetic on maps, over every pairing of
-// operand representations.
+// TestSetOpsMatchMapOracle: the merge-based Union and Difference
+// against set arithmetic on maps, over every pairing of operand
+// representations.
 func TestSetOpsMatchMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for round := 0; round < 6; round++ {
@@ -194,12 +194,10 @@ func TestSetOpsMatchMapOracle(t *testing.T) {
 		for _, tr := range bs {
 			inB[tr] = true
 		}
-		var union, diff, inter []Triple
+		var union, diff []Triple
 		for tr := range inA {
 			union = append(union, tr)
-			if inB[tr] {
-				inter = append(inter, tr)
-			} else {
+			if !inB[tr] {
 				diff = append(diff, tr)
 			}
 		}
@@ -217,7 +215,6 @@ func TestSetOpsMatchMapOracle(t *testing.T) {
 				}{
 					{"Union", Union(a, b), union},
 					{"Difference", Difference(a, b), diff},
-					{"Intersection", Intersection(a, b), inter},
 				} {
 					want := slices.Clone(op.want)
 					slices.SortFunc(want, Triple.Compare)

@@ -6,13 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// RelStats summarizes one relation for cost-based query optimization:
-// its cardinality and the number of distinct objects in each of the
-// three positions. The per-position distinct counts estimate the bucket
-// size of a single-position index probe (|R| / Distinct[i]) far more
-// accurately than the global |O| bound: a relation whose middle position
-// holds only a handful of predicates has large POS buckets, and the
-// planner should know.
+// RelStats summarizes one relation: its cardinality, the number of
+// distinct objects in each of the three positions, and each position's
+// largest bucket. It is computed on demand (Store.Stats, and the
+// leapfrog skew gate on cyclic join shapes), never to plan an ordinary
+// read: the planner works from exact sizes.
 type RelStats struct {
 	// Triples is the relation's cardinality |R|.
 	Triples int `json:"triples"`
@@ -20,39 +18,16 @@ type RelStats struct {
 	// predicates, objects in RDF terms.
 	Distinct [3]int `json:"distinct"`
 	// MaxMatch is the largest number of triples sharing one value at
-	// each position — the worst-case bucket of a point probe there.
-	// Fanout is the average bucket; the spread between the two is the
-	// skew signal the planner's worst-case join costing keys off: on a
-	// power-law graph MaxMatch dwarfs Fanout, and a binary join plan
-	// that probes through the heavy value pays MaxMatch, not Fanout.
+	// each position — the worst-case bucket of a point probe there. On
+	// a power-law graph it dwarfs the average bucket |R|/Distinct, and a
+	// binary join plan that probes through the heavy value pays it.
 	MaxMatch [3]int `json:"max_match"`
 }
 
-// Fanout estimates how many triples of the relation match a point probe
-// on the given position (0..2): |R| divided by the position's distinct
-// count, at least 1 for nonempty relations. It is the expected bucket
-// size under a uniform distribution — exact when the relation is a key
-// on that position.
-func (st RelStats) Fanout(pos int) float64 {
-	if st.Triples == 0 {
-		return 0
-	}
-	d := st.Distinct[pos]
-	if d < 1 {
-		d = 1
-	}
-	f := float64(st.Triples) / float64(d)
-	if f < 1 {
-		return 1
-	}
-	return f
-}
-
-// WorstFanout is the worst-case analogue of Fanout: the largest bucket a
-// point probe on the position can hit (MaxMatch), at least 1 for
-// nonempty relations. The planner uses it to bound a binary join plan's
-// intermediate size from above when weighing it against the AGM bound
-// of a worst-case-optimal plan.
+// WorstFanout is the largest bucket a point probe on the position can
+// hit (MaxMatch), at least 1 for nonempty relations. The leapfrog gate
+// uses it to bound a binary join plan's intermediate size from above
+// when weighing it against the AGM bound of a worst-case-optimal plan.
 func (st RelStats) WorstFanout(pos int) float64 {
 	if st.Triples == 0 {
 		return 0
@@ -74,6 +49,15 @@ func (r *Relation) Stats() RelStats {
 		r.stats = &st
 	}
 	return *r.stats
+}
+
+// StatsCached reports whether the relation's statistics have been
+// computed, without computing them. Tests use it to check that the read
+// path plans without statistics.
+func (r *Relation) StatsCached() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stats != nil
 }
 
 // statsOf computes the statistics of the duplicate-free triples ts
@@ -139,9 +123,9 @@ func columnCounts(ts []Triple, c int) (distinct, maxRun int) {
 }
 
 // StoreStats is a snapshot of the statistics of every relation in a
-// store, taken at one store version. The optimizer and the physical
-// planner consume it; the server's /stats endpoint exposes the refresh
-// counter so operators can see when statistics were rebuilt.
+// store, taken at one store version. No planner reads it; the server's
+// /stats endpoint exposes the refresh counter, which stays flat while
+// queries run.
 type StoreStats struct {
 	// Version is the Store.Version the snapshot was computed at.
 	Version uint64 `json:"version"`
@@ -154,10 +138,10 @@ type StoreStats struct {
 func (ss StoreStats) Rel(name string) RelStats { return ss.Relations[name] }
 
 // statsCache is the store-level statistics snapshot, guarded by its own
-// mutex so concurrent readers (engines planning queries in parallel)
-// can share one snapshot without racing on the lazy rebuild. refreshes
-// is one counter shared by a live store and all its snapshots: queries
-// plan against snapshots, so that is where nearly every rebuild happens.
+// mutex so concurrent readers can share one snapshot without racing on
+// the lazy rebuild. refreshes is one counter shared by a live store and
+// all its snapshots, so a rebuild on a pinned snapshot counts on the
+// live store that /v1/stats reports.
 type statsCache struct {
 	mu        sync.Mutex
 	snap      *StoreStats

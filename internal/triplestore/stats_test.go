@@ -53,27 +53,6 @@ func TestRelationStats(t *testing.T) {
 	}
 }
 
-func TestRelStatsFanout(t *testing.T) {
-	st := RelStats{Triples: 100, Distinct: [3]int{50, 2, 100}}
-	if got := st.Fanout(0); got != 2 {
-		t.Errorf("Fanout(0) = %v, want 2", got)
-	}
-	if got := st.Fanout(1); got != 50 {
-		t.Errorf("Fanout(1) = %v, want 50", got)
-	}
-	if got := st.Fanout(2); got != 1 {
-		t.Errorf("Fanout(2) = %v, want 1", got)
-	}
-	if got := (RelStats{}).Fanout(0); got != 0 {
-		t.Errorf("empty Fanout = %v, want 0", got)
-	}
-	// A degenerate distinct count of 0 with triples present (cannot happen
-	// via Stats, but Fanout must not divide by zero).
-	if got := (RelStats{Triples: 5}).Fanout(1); got != 5 {
-		t.Errorf("zero-distinct Fanout = %v, want 5", got)
-	}
-}
-
 func TestRelStatsWorstFanout(t *testing.T) {
 	// A skewed relation: one hub subject with 3 edges, two singletons.
 	r := RelationOf(
@@ -87,8 +66,8 @@ func TestRelStatsWorstFanout(t *testing.T) {
 	if got := st.WorstFanout(0); got != 3 {
 		t.Errorf("WorstFanout(0) = %v, want 3 (the hub subject)", got)
 	}
-	if got := st.Fanout(0); got >= 3 {
-		t.Errorf("Fanout(0) = %v, want < 3: the average must not see the hub", got)
+	if avg := float64(st.Triples) / float64(st.Distinct[0]); avg >= 3 {
+		t.Errorf("average subject bucket = %v, want < 3: only the worst sees the hub", avg)
 	}
 	if got := st.WorstFanout(2); got != 1 {
 		t.Errorf("WorstFanout(2) = %v, want 1 (objects are unique)", got)

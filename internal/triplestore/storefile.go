@@ -91,38 +91,3 @@ func unquoteField(s string) string {
 	}
 	return s
 }
-
-// WriteStore writes the store in the format read by ReadStore: one @rel
-// block per relation (in creation order) and @value lines for every
-// object with a data value.
-func WriteStore(s *Store, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, rel := range s.RelationNames() {
-		if _, err := fmt.Fprintf(bw, "@rel %s\n", rel); err != nil {
-			return err
-		}
-		for _, t := range s.Relation(rel).Triples() {
-			if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\n", s.Name(t[0]), s.Name(t[1]), s.Name(t[2])); err != nil {
-				return err
-			}
-		}
-	}
-	for id := ID(0); int(id) < s.NumObjects(); id++ {
-		v := s.Value(id)
-		if v == nil {
-			continue
-		}
-		fields := make([]string, len(v))
-		for i, f := range v {
-			if f.Null {
-				fields[i] = `\N`
-			} else {
-				fields[i] = f.Str
-			}
-		}
-		if _, err := fmt.Fprintf(bw, "@value %s\t%s\n", s.Name(id), strings.Join(fields, "\t")); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
